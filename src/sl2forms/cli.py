@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -27,43 +26,35 @@ from .omega import (
     y_kernel_singular,
 )
 from .parallel import default_jobs
-from .rationals import format_rational
+from .rationals import format_rational, parse_rational
 from .verify import SuiteResult, sweep_relations, sweep_star_forms, verify_all
 
 _SIGN_CHAR = {1: "+", -1: "-", 0: "0"}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: one command plus its parameters."""
-
-    command: str
-    m: Optional[int] = None
-    n: Optional[int] = None
-    k: Optional[int] = None
-    q: Fraction = Fraction(1)
-    r: Fraction = Fraction(1)
-    max: int = 10
-    format: str = "text"
-    jobs: int = 1
-    debug_corrupt: bool = False
-
-
-def _rational(text: str) -> Fraction:
+def _rational_arg(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational literal: {text!r}")
+        return parse_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _nonneg(text: str) -> int:
+def _int_at_least(text: str, lowest: int, what: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative: {text}")
+    if value < lowest:
+        raise argparse.ArgumentTypeError(f"must be {what}: {text}")
     return value
+
+
+def _nonneg(text: str) -> int:
+    return _int_at_least(text, 0, "nonnegative")
+
+
+def _positive(text: str) -> int:
+    return _int_at_least(text, 1, "positive")
 
 
 def _add_format(p: argparse.ArgumentParser) -> None:
@@ -74,17 +65,17 @@ def _add_format(p: argparse.ArgumentParser) -> None:
 
 
 def _add_qr(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--q", type=_rational, default=Fraction(1),
+    p.add_argument("--q", type=_rational_arg, default=Fraction(1),
                    help="form constant on the left factor (rational, default 1)")
-    p.add_argument("--r", type=_rational, default=Fraction(1),
+    p.add_argument("--r", type=_rational_arg, default=Fraction(1),
                    help="form constant on the right factor (rational, default 1)")
 
 
 def _add_sweep(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max", type=_nonneg, default=10,
                    help="sweep bound on m and n (default 10)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: cpu count)")
+    p.add_argument("--jobs", type=_positive, default=default_jobs(),
+                   help="worker processes, at most the cpu count (default: cpu count)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,39 +127,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        m=getattr(args, "m", None),
-        n=getattr(args, "n", None),
-        k=getattr(args, "k", None),
-        q=getattr(args, "q", Fraction(1)),
-        r=getattr(args, "r", Fraction(1)),
-        max=getattr(args, "max", 10),
-        format=getattr(args, "format", "text"),
-        jobs=getattr(args, "jobs", None) or default_jobs(),
-        debug_corrupt=getattr(args, "debug_corrupt", False),
-    )
-
-
 def _emit_json(payload) -> None:
     print(json.dumps(payload, separators=(",", ":")))
 
 
-def cmd_decompose(cfg: RunConfig) -> int:
-    report = decompose(tensor_of_irreducibles(cfg.m, cfg.n))
-    if cfg.format == "json":
+def cmd_decompose(args: argparse.Namespace) -> int:
+    report = decompose(tensor_of_irreducibles(args.m, args.n))
+    if args.format == "json":
         _emit_json({"summands": [[j, mult] for j, mult in report.summands]})
     else:
         parts = " ⊕ ".join(
             f"V{j}" if mult == 1 else f"{mult}·V{j}" for j, mult in report.summands
         )
-        print(f"V{cfg.m}⊗V{cfg.n} = {parts} (dim {report.dim} ✓)")
+        print(f"V{args.m}⊗V{args.n} = {parts} (dim {report.dim} ✓)")
     return 0
 
 
-def cmd_singular_vector(cfg: RunConfig) -> int:
-    m, n, k = cfg.m, cfg.n, cfg.k
+def cmd_singular_vector(args: argparse.Namespace) -> int:
+    m, n, k = args.m, args.n, args.k
     module = tensor_of_irreducibles(m, n)
     b = b_closed_form(m, n, k)
     annihilated = y_annihilates(b)
@@ -177,7 +153,7 @@ def cmd_singular_vector(cfg: RunConfig) -> int:
     except InconsistencyError:
         agrees = False
     s = m + n - 2 * k
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json({
             "m": m, "n": n, "k": k, "s": s,
             "terms": [
@@ -195,14 +171,14 @@ def cmd_singular_vector(cfg: RunConfig) -> int:
     return 0 if annihilated and agrees else 1
 
 
-def cmd_omega_table(cfg: RunConfig) -> int:
+def cmd_omega_table(args: argparse.Namespace) -> int:
     try:
-        report = check_sign_alternation(cfg.m, cfg.n, cfg.q, cfg.r)
+        report = check_sign_alternation(args.m, args.n, args.q, args.r)
     except InconsistencyError as exc:
         print(f"route disagreement: {exc}", file=sys.stderr)
         return 1
     table = report.table
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json({
             "m": table.m, "n": table.n,
             "q": format_rational(table.q), "r": format_rational(table.r),
@@ -223,29 +199,29 @@ def cmd_omega_table(cfg: RunConfig) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_verify_km(cfg: RunConfig) -> int:
-    direct = km_range_verify(cfg.max)
-    series = series_route_verify(cfg.max)
+def cmd_verify_km(args: argparse.Namespace) -> int:
+    direct = km_range_verify(args.max)
+    series = series_route_verify(args.max)
     failures = [list(t) for t in direct.failures + series.failures]
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json({"tuples": direct.tuples, "failures": failures})
     else:
-        print(f"identity sweep (m,n ≤ {cfg.max}): {direct.tuples} tuples, "
+        print(f"identity sweep (m,n ≤ {args.max}): {direct.tuples} tuples, "
               f"{len(direct.failures)} failures")
         print(f"series cross-route: {series.tuples} tuples, "
               f"{len(series.failures)} failures")
     return 0 if not failures else 1
 
 
-def _emit_suites(cfg: RunConfig, suites: Sequence[SuiteResult]) -> int:
+def _emit_suites(args: argparse.Namespace, suites: Sequence[SuiteResult]) -> int:
     ok = all(s.ok for s in suites)
     for s in suites:
         print(f"[time] {s.name}: {s.seconds:.2f}s", file=sys.stderr)
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json({
-            "max": cfg.max,
-            "q": format_rational(cfg.q),
-            "r": format_rational(cfg.r),
+            "max": args.max,
+            "q": format_rational(args.q),
+            "r": format_rational(args.r),
             "suites": [
                 {"name": s.name, "checks": s.checks, "failures": list(s.failures)}
                 for s in suites
@@ -261,19 +237,19 @@ def _emit_suites(cfg: RunConfig, suites: Sequence[SuiteResult]) -> int:
     return 0 if ok else 1
 
 
-def cmd_verify_star(cfg: RunConfig) -> int:
+def cmd_verify_star(args: argparse.Namespace) -> int:
     suites = [
-        sweep_relations(cfg.max, jobs=cfg.jobs),
-        sweep_star_forms(cfg.max, cfg.q, cfg.r, jobs=cfg.jobs),
+        sweep_relations(args.max, jobs=args.jobs),
+        sweep_star_forms(args.max, args.q, args.r, jobs=args.jobs),
     ]
-    return _emit_suites(cfg, suites)
+    return _emit_suites(args, suites)
 
 
-def cmd_verify_all(cfg: RunConfig) -> int:
+def cmd_verify_all(args: argparse.Namespace) -> int:
     suites = verify_all(
-        cfg.max, cfg.q, cfg.r, jobs=cfg.jobs, corrupt=cfg.debug_corrupt
+        args.max, args.q, args.r, jobs=args.jobs, corrupt=args.debug_corrupt
     )
-    return _emit_suites(cfg, suites)
+    return _emit_suites(args, suites)
 
 
 _DISPATCH = {
@@ -289,13 +265,12 @@ _DISPATCH = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _config(args)
-    if cfg.command in ("omega-table", "verify-star", "verify-all"):
-        if not cfg.q or not cfg.r:
+    if args.command in ("omega-table", "verify-star", "verify-all"):
+        if not args.q or not args.r:
             parser.error("q and r must be nonzero")
-    if cfg.command == "singular-vector" and cfg.k > min(cfg.m, cfg.n):
-        parser.error(f"k must be at most min(m, n) = {min(cfg.m, cfg.n)}")
+    if args.command == "singular-vector" and args.k > min(args.m, args.n):
+        parser.error(f"k must be at most min(m, n) = {min(args.m, args.n)}")
     t0 = time.perf_counter()
-    code = _DISPATCH[cfg.command](cfg)
+    code = _DISPATCH[args.command](args)
     print(f"[time] total: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return code

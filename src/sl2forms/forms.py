@@ -68,10 +68,8 @@ def canonical_form(m: int, q: Scalar) -> BilinearForm:
         raise ValueError("canonical form requires q != 0 (nondegeneracy)")
     module = irreducible(m)
     d = module.dim
-    grid = [[0] * d for _ in range(d)]
-    for i in range(d):
-        grid[i][d - 1 - i] = q
-    return BilinearForm(module, ExactMatrix.from_rows(grid))
+    gram = ExactMatrix.from_sparse(d, d, (((d - 1 - i, q),) for i in range(d)))
+    return BilinearForm(module, gram)
 
 
 def is_star_form(module: WeightModule, form: BilinearForm) -> StarFormReport:
@@ -109,14 +107,10 @@ def structure_of(form: BilinearForm) -> tuple[bool, Optional[Scalar]]:
     d = gram.rows
     if d == 0:
         return True, None
-    q = gram.entries[0][d - 1]
-    for i, row in enumerate(gram.entries):
-        for j, v in enumerate(row):
-            if j == d - 1 - i:
-                if v != q:
-                    return False, None
-            elif v:
-                return False, None
+    q = dict(gram.nonzero_rows[0]).get(d - 1, 0)
+    for i, row in enumerate(gram.nonzero_rows):
+        if row != (((d - 1 - i, q),) if q else ()):
+            return False, None
     return True, q
 
 

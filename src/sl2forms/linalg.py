@@ -1,16 +1,20 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals.
 
-Matrices are immutable, row-major grids of exact scalars (``int`` or
-``Fraction``).  Products, Kronecker products and matrix-vector application
-skip zero entries via cached nonzero-index lists, which keeps the very
-sparse operator matrices of weight modules cheap without introducing a
-sparse data structure.
+Matrices are immutable and store only their nonzero entries: per row, the
+(column, value) pairs in increasing column order, with exact scalar values
+(``int`` or ``Fraction``).  Every operator of a weight module is
+weight-homogeneous (X raises the weight by 2, Y lowers it by 2, H and the
+compatible forms pair fixed weights), so each row holds only a few
+nonzeros and sums, products, transposes and Kronecker products cost time
+in proportion to the nonzeros they touch.  A zero is never stored, so
+equal matrices have equal rows and ``==`` and ``hash`` compare the stored
+rows directly.  `ExactMatrix.entries` is a dense view rebuilt on demand.
 
-The elimination engine is fraction-free (Bareiss): every row is first
-scaled to coprime integers, then eliminated with the two-term determinant
-update divided exactly by the previous pivot, so intermediate entries stay
-minor-sized instead of growing the way naive fractional elimination lets
-them.
+The elimination engine is fraction-free (Bareiss) on its own dense
+integer work grid: every row is first scaled to coprime integers, then
+eliminated with the two-term determinant update divided exactly by the
+previous pivot, so intermediate entries stay minor-sized instead of
+growing the way naive fractional elimination lets them.
 """
 
 from __future__ import annotations
@@ -23,23 +27,51 @@ from typing import Iterable, Sequence
 
 from .rationals import Scalar
 
+Row = tuple[tuple[int, Scalar], ...]
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class ExactMatrix:
-    """Immutable rows x cols grid of exact rational entries."""
+    """Immutable rows x cols matrix of exact rational entries.
+
+    ``nonzero_rows[i]`` holds row i's nonzero entries as (column, value)
+    pairs in increasing column order; nothing else is stored.
+    """
 
     rows: int
     cols: int
-    entries: tuple[tuple[Scalar, ...], ...]
+    nonzero_rows: tuple[Row, ...]
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(
+        self, rows: int, cols: int, entries: Sequence[Sequence[Scalar]]
+    ) -> None:
+        """Build from a dense grid of `rows` rows with `cols` entries each."""
+        if len(entries) != rows:
+            raise ValueError(f"expected {rows} rows, got {len(entries)}")
+        for row in entries:
+            if len(row) != cols:
+                raise ValueError(f"expected {cols} entries per row, got {len(row)}")
+        self._assign(
+            rows,
+            cols,
+            tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in entries),
+        )
+
+    def _assign(self, rows: int, cols: int, nonzero_rows: tuple[Row, ...]) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows:
-            raise ValueError(f"expected {self.rows} rows, got {len(self.entries)}")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError(f"expected {self.cols} entries per row, got {len(row)}")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "nonzero_rows", nonzero_rows)
+
+    @classmethod
+    def _stored(
+        cls, rows: int, cols: int, nonzero_rows: tuple[Row, ...]
+    ) -> "ExactMatrix":
+        """Wrap rows that are already canonical: sorted columns, no zeros."""
+        matrix = object.__new__(cls)
+        matrix._assign(rows, cols, nonzero_rows)
+        return matrix
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[Scalar]]) -> "ExactMatrix":
@@ -48,51 +80,52 @@ class ExactMatrix:
             return ExactMatrix(0, 0, ())
         return ExactMatrix(len(grid), len(grid[0]), grid)
 
-    @cached_property
-    def nonzero_rows(self) -> tuple[tuple[tuple[int, Scalar], ...], ...]:
-        """Per row, the (column, value) pairs of nonzero entries."""
-        return tuple(
-            tuple((j, v) for j, v in enumerate(row) if v) for row in self.entries
-        )
+    @staticmethod
+    def from_sparse(
+        rows: int, cols: int, nonzero_rows: Iterable[Iterable[tuple[int, Scalar]]]
+    ) -> "ExactMatrix":
+        """Build from per-row (column, value) pairs, at most one per column,
+        in any column order; zero values are dropped."""
+        stored = tuple(_canonical(dict(row)) for row in nonzero_rows)
+        if len(stored) != rows:
+            raise ValueError(f"expected {rows} rows, got {len(stored)}")
+        if any(not 0 <= j < cols for row in stored for j, _ in row):
+            raise ValueError(f"column index out of range for {cols} columns")
+        return ExactMatrix._stored(rows, cols, stored)
+
+    @property
+    def entries(self) -> tuple[tuple[Scalar, ...], ...]:
+        """Dense row-major view, rebuilt on every access."""
+        grid: list[list[Scalar]] = [[0] * self.cols for _ in range(self.rows)]
+        for dense, row in zip(grid, self.nonzero_rows):
+            for j, v in row:
+                dense[j] = v
+        return tuple(map(tuple, grid))
 
     @cached_property
-    def nonzero_cols(self) -> tuple[tuple[tuple[int, Scalar], ...], ...]:
-        """Per column, the (row, value) pairs of nonzero entries."""
+    def transpose(self) -> "ExactMatrix":
         cols: list[list[tuple[int, Scalar]]] = [[] for _ in range(self.cols)]
         for i, row in enumerate(self.nonzero_rows):
             for j, v in row:
                 cols[j].append((i, v))
-        return tuple(tuple(c) for c in cols)
-
-    @cached_property
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.cols,
-            self.rows,
-            tuple(tuple(row[j] for row in self.entries) for j in range(self.cols)),
-        )
+        return ExactMatrix._stored(self.cols, self.rows, tuple(map(tuple, cols)))
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._require_same_shape(other)
-        return ExactMatrix(
-            self.rows,
-            self.cols,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
+        """self + sign·other, row by row."""
         self._require_same_shape(other)
-        return ExactMatrix(
-            self.rows,
-            self.cols,
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
+        out = []
+        for ra, rb in zip(self.nonzero_rows, other.nonzero_rows):
+            acc = dict(ra)
+            for j, v in rb:
+                acc[j] = acc.get(j, 0) + sign * v
+            out.append(_canonical(acc) if rb else ra)
+        return ExactMatrix._stored(self.rows, self.cols, tuple(out))
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
@@ -102,18 +135,20 @@ class ExactMatrix:
         other_nz = other.nonzero_rows
         out = []
         for arow in self.nonzero_rows:
-            acc: list[Scalar] = [0] * other.cols
+            acc: dict[int, Scalar] = {}
             for k, a in arow:
                 for j, b in other_nz[k]:
-                    acc[j] += a * b
-            out.append(tuple(acc))
-        return ExactMatrix(self.rows, other.cols, tuple(out))
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append(_canonical(acc))
+        return ExactMatrix._stored(self.rows, other.cols, tuple(out))
 
     def scaled(self, c: Scalar) -> "ExactMatrix":
-        return ExactMatrix(
+        if not c:
+            return zeros(self.rows, self.cols)
+        return ExactMatrix._stored(
             self.rows,
             self.cols,
-            tuple(tuple(c * v for v in row) for row in self.entries),
+            tuple(tuple((j, c * v) for j, v in row) for row in self.nonzero_rows),
         )
 
     def _require_same_shape(self, other: "ExactMatrix") -> None:
@@ -123,30 +158,28 @@ class ExactMatrix:
             )
 
 
+def _canonical(acc: dict[int, Scalar]) -> Row:
+    """The nonzero (column, value) pairs of an accumulator, sorted by column."""
+    return tuple(sorted((j, v) for j, v in acc.items() if v))
+
+
 def identity(n: int) -> ExactMatrix:
-    return ExactMatrix(
-        n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    )
+    return ExactMatrix._stored(n, n, tuple(((i, 1),) for i in range(n)))
 
 
 def zeros(rows: int, cols: int) -> ExactMatrix:
-    return ExactMatrix(rows, cols, tuple(tuple([0] * cols) for _ in range(rows)))
+    return ExactMatrix._stored(rows, cols, ((),) * rows)
 
 
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Kronecker product, left factor outermost (row-major block layout)."""
-    grid = [[0] * (a.cols * b.cols) for _ in range(a.rows * b.rows)]
-    b_nz = b.nonzero_rows
-    for i, arow in enumerate(a.nonzero_rows):
-        for j, av in arow:
-            for k in range(b.rows):
-                tgt = grid[i * b.rows + k]
-                base = j * b.cols
-                for l, bv in b_nz[k]:
-                    tgt[base + l] = av * bv
-    return ExactMatrix(
-        a.rows * b.rows, a.cols * b.cols, tuple(tuple(r) for r in grid)
-    )
+    b_nz, b_cols = b.nonzero_rows, b.cols
+    out = [
+        tuple((j * b_cols + l, av * bv) for j, av in arow for l, bv in brow)
+        for arow in a.nonzero_rows
+        for brow in b_nz
+    ]
+    return ExactMatrix._stored(a.rows * b.rows, a.cols * b_cols, tuple(out))
 
 
 def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -157,12 +190,14 @@ def mat_vec(a: ExactMatrix, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
     """Exact product A*v."""
     if len(v) != a.cols:
         raise ValueError(f"vector of length {len(v)} does not match {a.cols} columns")
-    out: list[Scalar] = [0] * a.rows
-    cols = a.nonzero_cols
-    for j, x in enumerate(v):
-        if x:
-            for i, entry in cols[j]:
-                out[i] += entry * x
+    out: list[Scalar] = []
+    for row in a.nonzero_rows:
+        acc: Scalar = 0
+        for j, entry in row:
+            x = v[j]
+            if x:
+                acc += entry * x
+        out.append(acc)
     return tuple(out)
 
 
@@ -190,23 +225,15 @@ def apply_power(a: ExactMatrix, v: Sequence[Scalar], s: int) -> tuple[Scalar, ..
     return out
 
 
-def _as_coprime_integer_row(row: Sequence[Scalar]) -> list[int]:
-    """Scale a row of rationals to integers with gcd 1 (same row span)."""
-    den = 1
-    for x in row:
-        d = x.denominator
-        if d != 1:
-            den = den * d // math.gcd(den, d)
-    ints = [int((x * den).numerator) if den != 1 else int(x.numerator) for x in row]
-    g = 0
-    for x in ints:
-        if x:
-            g = math.gcd(g, x)
-            if g == 1:
-                return ints
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
+def _as_coprime_integer_row(row: Row, cols: int) -> list[int]:
+    """Dense integer row with gcd 1 spanning the same line as a sparse row."""
+    den = math.lcm(*(x.denominator for _, x in row))
+    ints = [(j, x.numerator * (den // x.denominator)) for j, x in row]
+    g = math.gcd(*(x for _, x in ints)) or 1
+    dense = [0] * cols
+    for j, x in ints:
+        dense[j] = x // g
+    return dense
 
 
 def _bareiss_echelon(a: ExactMatrix) -> tuple[list[list[int]], list[int]]:
@@ -217,7 +244,7 @@ def _bareiss_echelon(a: ExactMatrix) -> tuple[list[list[int]], list[int]]:
     except when pivot == prev, where the update is the identity and is
     skipped; this keeps near-permutation inputs quadratic.
     """
-    m = [_as_coprime_integer_row(row) for row in a.entries]
+    m = [_as_coprime_integer_row(row, a.cols) for row in a.nonzero_rows]
     nrows, ncols = a.rows, a.cols
     pivot_cols: list[int] = []
     r = 0

@@ -131,25 +131,19 @@ def irreducible(m: int, symbol: str = "e") -> WeightModule:
     dim = m + 1
     weights = tuple(-m + 2 * j for j in range(dim))
     names = tuple(f"{symbol}_{{{w}}}" for w in weights)
-    x = [[0] * dim for _ in range(dim)]
-    y = [[0] * dim for _ in range(dim)]
-    h = [[0] * dim for _ in range(dim)]
-    for j in range(dim):
-        h[j][j] = weights[j]
-        if j + 1 < dim:
-            # position j holds e_{m-2i} with i = m-j, so X's coefficient
-            # i(m-i+1) reads (m-j)(j+1) and lands one position up.
-            x[j + 1][j] = (m - j) * (j + 1)
-        if j - 1 >= 0:
-            y[j - 1][j] = 1
+    # Position j holds e_{m-2i} with i = m-j, so X's coefficient i(m-i+1)
+    # reads (m-j)(j+1) and lands one position up; Y moves one position down.
+    x = [()] + [((j, (m - j) * (j + 1)),) for j in range(dim - 1)]
+    y = [((j + 1, 1),) for j in range(dim - 1)] + [()]
+    h = [((j, w),) for j, w in enumerate(weights)]
     return WeightModule(
         label=f"V_{m}",
         dim=dim,
         weights=weights,
         basis_names=names,
-        actX=ExactMatrix.from_rows(x),
-        actY=ExactMatrix.from_rows(y),
-        actH=ExactMatrix.from_rows(h),
+        actX=ExactMatrix.from_sparse(dim, dim, x),
+        actY=ExactMatrix.from_sparse(dim, dim, y),
+        actH=ExactMatrix.from_sparse(dim, dim, h),
     )
 
 

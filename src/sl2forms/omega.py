@@ -114,9 +114,11 @@ def y_kernel_singular(m: int, n: int, k: int) -> ModuleVector:
     _check_k(m, n, k)
     module = tensor_of_irreducibles(m, n)
     indices = weight_space_indices(module, singular_weight(m, n, k))
-    restricted = ExactMatrix.from_rows(
-        [[row[j] for j in indices] for row in module.actY.entries]
-    )
+    position = {j: t for t, j in enumerate(indices)}
+    restricted = ExactMatrix.from_sparse(module.dim, len(indices), (
+        [(position[j], v) for j, v in row if j in position]
+        for row in module.actY.nonzero_rows
+    ))
     kernel = null_space(restricted)
     if len(kernel) != 1:
         raise InconsistencyError(

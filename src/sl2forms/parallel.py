@@ -22,12 +22,14 @@ def default_jobs() -> int:
 def parallel_map(fn: Callable[[A], B], items: Iterable[A], jobs: int = 1) -> list[B]:
     """Map fn over items, preserving input order.
 
-    jobs <= 1 runs in-process; otherwise a process pool is used (fn and
-    items must be picklable, i.e. top-level functions / partials of them).
+    Uses min(jobs, cpu count, number of items) worker processes; with one
+    worker or fewer it runs in-process.  fn and items must be picklable,
+    i.e. top-level functions / partials of them.
     """
     todo: Sequence[A] = list(items)
-    if jobs <= 1 or len(todo) <= 1:
+    workers = min(jobs, default_jobs(), len(todo))
+    if workers <= 1:
         return [fn(x) for x in todo]
-    chunk = max(1, len(todo) // (4 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunk = max(1, len(todo) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, todo, chunksize=chunk))

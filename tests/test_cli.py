@@ -178,3 +178,17 @@ class TestUsage:
 
     def test_bad_rational(self):
         assert run("omega-table", "1", "1", "--q", "one").returncode == 2
+
+    def test_bad_rational_message(self):
+        proc = run("omega-table", "1", "1", "--q", "1/0")
+        assert proc.returncode == 2
+        assert "not a rational literal: '1/0'" in proc.stderr
+
+    def test_zero_or_negative_jobs_is_usage_error(self):
+        for jobs in ("0", "-1"):
+            proc = run("verify-all", "--max", "1", "--jobs", jobs)
+            assert proc.returncode == 2
+            assert "must be positive" in proc.stderr
+
+    def test_one_job_runs(self):
+        assert run("verify-all", "--max", "1", "--jobs", "1").returncode == 0

@@ -133,6 +133,43 @@ class TestArithmetic:
         assert k.entries[3] == (18, 21, 24, 28)
 
 
+class TestCanonicalStorage:
+    """Only nonzeros are stored, so equal matrices have equal storage;
+    an explicitly stored zero would make == and hash disagree."""
+
+    @settings(max_examples=40)
+    @given(matrices(max_dim=4))
+    def test_cancellation_leaves_nothing_stored(self, a):
+        assert a - a == zeros(a.rows, a.cols)
+        assert hash(a - a) == hash(zeros(a.rows, a.cols))
+        if a.rows == a.cols:
+            c = commutator(a, a)
+            assert c == zeros(a.rows, a.rows)
+            assert hash(c) == hash(zeros(a.rows, a.rows))
+
+    @settings(max_examples=40)
+    @given(matrices(max_dim=4), matrices(max_dim=4))
+    def test_results_match_their_dense_round_trip(self, a, b):
+        results = [kron(a, b), a + a.scaled(-1), a.transpose @ a]
+        if a.cols == b.rows:
+            results.append(a @ b)
+        if (a.rows, a.cols) == (b.rows, b.cols):
+            results.append(a + b)
+        for m in results:
+            rebuilt = ExactMatrix.from_rows(m.entries)
+            assert m == rebuilt and hash(m) == hash(rebuilt)
+            assert all(v for row in m.nonzero_rows for _, v in row)
+
+    def test_sparse_constructor_drops_zeros_and_sorts(self):
+        m = ExactMatrix.from_sparse(2, 3, [[(2, 5), (0, Fraction(0)), (1, -1)], []])
+        assert m.nonzero_rows == (((1, -1), (2, 5)), ())
+        assert m == ExactMatrix.from_rows([[0, -1, 5], [0, 0, 0]])
+        with pytest.raises(ValueError):
+            ExactMatrix.from_sparse(1, 2, [[(2, 1)]])
+        with pytest.raises(ValueError):
+            ExactMatrix.from_sparse(2, 2, [[(0, 1)]])
+
+
 class TestRankAndKernel:
     def test_rank_identity(self):
         assert rank(identity(4)) == 4

@@ -140,11 +140,11 @@ class TestTensor:
     @given(small_m, small_m)
     def test_x_and_y_shift_weight_by_two(self, m, n):
         t = tensor_of_irreducibles(m, n)
-        for j, entries in enumerate(t.actX.nonzero_cols):
-            for i, _ in entries:
+        for i, row in enumerate(t.actX.nonzero_rows):
+            for j, _ in row:
                 assert t.weights[i] == t.weights[j] + 2
-        for j, entries in enumerate(t.actY.nonzero_cols):
-            for i, _ in entries:
+        for i, row in enumerate(t.actY.nonzero_rows):
+            for j, _ in row:
                 assert t.weights[i] == t.weights[j] - 2
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from sl2forms import parallel
 from sl2forms.verify import (
     SuiteResult,
     sweep_decomposition,
@@ -85,6 +86,46 @@ class TestDeterminismAndParallelism:
         a = sweep_star_forms(3, q, r, jobs=1)
         b = sweep_star_forms(3, q, r, jobs=2)
         assert (a.name, a.checks, a.failures) == (b.name, b.checks, b.failures)
+
+    def test_worker_count_is_clamped(self, monkeypatch):
+        """Workers are min(jobs, cpu count, tasks); a stub pool records the
+        requested count, so no real pool is started."""
+        requested = []
+
+        class StubPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", StubPool)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 4)
+        square = lambda x: x * x
+        assert parallel.parallel_map(square, range(10), jobs=1000) == [
+            x * x for x in range(10)
+        ]
+        assert parallel.parallel_map(square, range(3), jobs=1000) == [0, 1, 4]
+        assert parallel.parallel_map(square, range(10), jobs=2) == [
+            x * x for x in range(10)
+        ]
+        assert requested == [4, 3, 2]
+        # one worker, by request, cpu count or task count, runs in-process
+        assert parallel.parallel_map(square, range(10), jobs=1) == [
+            x * x for x in range(10)
+        ]
+        assert parallel.parallel_map(square, [5], jobs=1000) == [25]
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: None)
+        assert parallel.parallel_map(square, range(10), jobs=1000) == [
+            x * x for x in range(10)
+        ]
+        assert requested == [4, 3, 2]
 
     def test_repeat_runs_identical(self):
         assert strip_timing(verify_all(2)) == strip_timing(verify_all(2))
