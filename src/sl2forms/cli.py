@@ -71,9 +71,13 @@ def _add_qr(p: argparse.ArgumentParser) -> None:
                    help="form constant on the right factor (rational, default 1)")
 
 
-def _add_sweep(p: argparse.ArgumentParser) -> None:
+def _add_max(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max", type=_nonneg, default=10,
                    help="sweep bound on m and n (default 10)")
+
+
+def _add_sweep(p: argparse.ArgumentParser) -> None:
+    _add_max(p)
     p.add_argument("--jobs", type=_positive, default=default_jobs(),
                    help="worker processes, at most the cpu count (default: cpu count)")
 
@@ -107,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-km",
                        help="sweep the factorial identity and its series form")
-    _add_sweep(p)
+    _add_max(p)
     _add_format(p)
 
     p = sub.add_parser("verify-star",

@@ -5,8 +5,16 @@ The identity, for integers 0 ≤ l ≤ k ≤ min(m, n):
     Σ_{i=0}^{k} (-1)^i (m-i)!(n-k+i)! / (i!(k-i)!(m-l-i)!(n+l-2k+i)!) = (-1)^{k+l}
 
 with the convention 1/j! = 0 for j < 0, which reproduces the natural
-max/min summation bounds automatically.  `km_sum` evaluates the left side
-exactly and `km_range_verify` sweeps every admissible tuple up to a bound.
+max/min summation bounds automatically.  Multiplied by k! it involves
+integers only:
+
+    Σ_{i=0}^{k} (-1)^i C(k,i) perm(m-i, l) perm(n-k+i, k-l) = (-1)^{k+l} k!
+
+where perm(x, j) = x!/(x-j)! is the falling factorial (`math.perm`),
+which is 0 once j > x, exactly where 1/(x-j)! = 0.  `km_scaled_sum`
+evaluates the left side of this form, `km_sum` divides it by k!, and
+`km_range_verify` compares it with (-1)^{k+l} k! on every admissible tuple
+up to a bound.
 
 The same sum is a terminating hypergeometric series at unit argument.
 Taking the ratio of consecutive summands gives
@@ -18,17 +26,25 @@ so, when n+l-2k ≥ 0 (the i = 0 term nonzero),
     km_sum = t₀ · ₃F₂(-k, n-k+1, -(m-l); -m, n+l-2k+1; 1),
     t₀     = m!(n-k)! / (k!(m-l)!(n+l-2k)!).
 
-This parameterization is derived here, not quoted from anywhere, and is
-therefore always cross-checked against `km_sum`; `to_3f2` refuses the
+This parameterization is derived here, not quoted from anywhere;
+`series_route_verify` checks t₀ · ₃F₂ against (-1)^{k+l} on its own, so
+the series route shares no code with the direct sum.  `to_3f2` refuses the
 n+l-2k < 0 case rather than patching prefactors.
+
+`eval_3f2_terminating` reads every parameter p/q once as an integer pair:
+the Pochhammer factor a+i is (p + i·q)/q, so each term ratio is one
+integer numerator over one integer denominator, the series is summed by
+Horner's rule on one integer numerator/denominator pair, and one
+`Fraction` is built at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, perm
 
-from .rationals import factorial, reciprocal_factorial
+from .rationals import factorial
 
 
 class UnsupportedMappingError(ValueError):
@@ -69,7 +85,7 @@ class HypergeomSpec:
     argument: Fraction
 
     def __post_init__(self) -> None:
-        if not any(a <= 0 and a.denominator == 1 for a in self.upper):
+        if not any(a.denominator == 1 and a.numerator <= 0 for a in self.upper):
             raise ValueError(
                 "series does not terminate: no upper parameter is a "
                 "non-positive integer"
@@ -79,7 +95,8 @@ class HypergeomSpec:
     def truncation_index(self) -> int:
         """Smallest |a| over non-positive-integer upper parameters."""
         return min(
-            int(-a) for a in self.upper if a <= 0 and a.denominator == 1
+            -a.numerator for a in self.upper
+            if a.denominator == 1 and a.numerator <= 0
         )
 
 
@@ -96,25 +113,24 @@ class KMSweepReport:
         return not self.failures
 
 
-def km_sum(p: KMParams) -> Fraction:
-    """The left-hand sum, exactly (expected value: (-1)^{k+l})."""
-    total = Fraction(0)
-    for i in range(p.k + 1):
-        total += (
-            (-1) ** i
-            * factorial(p.m - i)
-            * factorial(p.n - p.k + i)
-            * reciprocal_factorial(i)
-            * reciprocal_factorial(p.k - i)
-            * reciprocal_factorial(p.m - p.l - i)
-            * reciprocal_factorial(p.n + p.l - 2 * p.k + i)
-        )
+def km_scaled_sum(p: KMParams) -> int:
+    """k! times the left-hand sum, in integers (expected: (-1)^{k+l} k!)."""
+    k, l, m, n = p.k, p.l, p.m, p.n
+    total = 0
+    for i in range(k + 1):
+        term = comb(k, i) * perm(m - i, l) * perm(n - k + i, k - l)
+        total += -term if i & 1 else term
     return total
 
 
+def km_sum(p: KMParams) -> Fraction:
+    """The left-hand sum, exactly (expected value: (-1)^{k+l})."""
+    return Fraction(km_scaled_sum(p), factorial(p.k))
+
+
 def km_check(p: KMParams) -> bool:
-    """True iff the sum equals (-1)^{k+l} exactly."""
-    return km_sum(p) == (-1) ** (p.k + p.l)
+    """True iff the sum equals (-1)^{k+l} exactly, compared in integers."""
+    return km_scaled_sum(p) == (-1) ** (p.k + p.l) * factorial(p.k)
 
 
 def admissible_tuples(bound: int):
@@ -140,7 +156,7 @@ def km_range_verify(bound: int) -> KMSweepReport:
 
 
 def series_route_verify(bound: int) -> KMSweepReport:
-    """Check prefactor × ₃F₂ = km_sum on every mappable tuple, m, n ≤ bound.
+    """Check prefactor × ₃F₂ = (-1)^{k+l} on every mappable tuple, m, n ≤ bound.
 
     Tuples with n+l-2k < 0 fall outside the series restatement and are
     skipped (they are covered by km_range_verify).
@@ -154,7 +170,7 @@ def series_route_verify(bound: int) -> KMSweepReport:
             continue
         count += 1
         spec, prefactor = to_3f2(p)
-        if prefactor * eval_3f2_terminating(spec) != km_sum(p):
+        if prefactor * eval_3f2_terminating(spec) != (-1) ** (p.k + p.l):
             failures.append((p.k, p.l, p.m, p.n))
     return KMSweepReport(bound=bound, tuples=count, failures=tuple(failures))
 
@@ -187,28 +203,44 @@ def to_3f2(p: KMParams) -> tuple[HypergeomSpec, Fraction]:
     return spec, prefactor
 
 
+def _pochhammer_numerators(a: Fraction, t: int) -> range:
+    """Numerators of the factors a, a+1, …, a+t-1 over a's denominator."""
+    p, q = a.numerator, a.denominator
+    return range(p, p + t * q, q)
+
+
 def eval_3f2_terminating(spec: HypergeomSpec) -> Fraction:
     """Σ_{i=0}^{T} (a₁)ᵢ(a₂)ᵢ(a₃)ᵢ / ((b₁)ᵢ(b₂)ᵢ i!) zⁱ with exact arithmetic.
 
     T is the truncation index; a lower Pochhammer factor vanishing at or
-    before T makes the series ill-defined.
+    before T makes the series ill-defined.  The term ratio at index i is
+    num/den with integers num = z_p·q_{b₁}q_{b₂}·Π(p_{aⱼ} + i·q_{aⱼ}) and
+    den = z_q·q_{a₁}q_{a₂}q_{a₃}·Π(p_{bⱼ} + i·q_{bⱼ})·(i+1), where x = p_x/q_x.
     """
     t = spec.truncation_index
-    term = Fraction(1)
-    total = Fraction(1)
-    for i in range(t):
-        num = Fraction(1)
-        for a in spec.upper:
-            num *= a + i
-        den = Fraction(i + 1)
-        for b in spec.lower:
-            factor = b + i
-            if not factor:
-                raise IllDefinedSeriesError(
-                    f"lower parameter {b} hits zero at index {i + 1} "
-                    f"(truncation index {t})"
-                )
-            den *= factor
-        term *= spec.argument * num / den
-        total += term
-    return total
+    (a1, a2, a3), (b1, b2) = spec.upper, spec.lower
+    z = spec.argument
+    num_scale = z.numerator * b1.denominator * b2.denominator
+    den_scale = z.denominator * a1.denominator * a2.denominator * a3.denominator
+    ratios = []
+    for i, (x1, x2, x3, y1, y2) in enumerate(zip(
+        _pochhammer_numerators(a1, t),
+        _pochhammer_numerators(a2, t),
+        _pochhammer_numerators(a3, t),
+        _pochhammer_numerators(b1, t),
+        _pochhammer_numerators(b2, t),
+    )):
+        den = y1 * y2
+        if not den:
+            b = b1 if not y1 else b2
+            raise IllDefinedSeriesError(
+                f"lower parameter {b} hits zero at index {i + 1} "
+                f"(truncation index {t})"
+            )
+        ratios.append((num_scale * x1 * x2 * x3, den * den_scale * (i + 1)))
+    # Horner's rule, 1 + r₀(1 + r₁(… (1 + r_{T-1}))), on the pair acc_num/acc_den
+    acc_num = acc_den = 1
+    for num, den in reversed(ratios):
+        acc_den *= den
+        acc_num = acc_den + num * acc_num
+    return Fraction(acc_num, acc_den)

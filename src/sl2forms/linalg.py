@@ -212,7 +212,13 @@ def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
 
 
 def apply_power(a: ExactMatrix, v: Sequence[Scalar], s: int) -> tuple[Scalar, ...]:
-    """A applied s >= 0 times to v; s = 0 returns v unchanged."""
+    """A applied s >= 0 times to v; s = 0 returns v unchanged.
+
+    Between steps the vector is held as a map from index to nonzero value,
+    and each step walks only the columns of A at those indices, so a
+    vector confined to one weight space costs that space's nonzeros, not
+    all of A's.
+    """
     if a.rows != a.cols:
         raise ValueError("apply_power needs a square matrix")
     if s < 0:
@@ -220,9 +226,20 @@ def apply_power(a: ExactMatrix, v: Sequence[Scalar], s: int) -> tuple[Scalar, ..
     out = tuple(v)
     if len(out) != a.cols:
         raise ValueError(f"vector of length {len(out)} does not match {a.cols} columns")
+    if not s:
+        return out
+    columns = a.transpose.nonzero_rows
+    support = {j: x for j, x in enumerate(out) if x}
     for _ in range(s):
-        out = mat_vec(a, out)
-    return out
+        image: dict[int, Scalar] = {}
+        for j, x in support.items():
+            for i, entry in columns[j]:
+                image[i] = image.get(i, 0) + entry * x
+        support = {i: y for i, y in image.items() if y}
+    dense: list[Scalar] = [0] * a.rows
+    for i, y in support.items():
+        dense[i] = y
+    return tuple(dense)
 
 
 def _as_coprime_integer_row(row: Row, cols: int) -> list[int]:

@@ -117,6 +117,12 @@ class TestVerifyKM:
         assert proc.returncode == 0
         assert "1 tuples, 0 failures" in proc.stdout
 
+    def test_jobs_is_usage_error(self):
+        # the Karlsson-Minton sweeps run in one process and take no --jobs
+        proc = run("verify-km", "--max", "1", "--jobs", "2")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --jobs 2" in proc.stderr
+
 
 class TestVerifyStar:
     def test_clean(self):

@@ -2,12 +2,14 @@
 series restatement, and consistency with the tensor-module computation
 (which derives the same sum without ever invoking the identity)."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl2forms import hypergeom
 from sl2forms.hypergeom import (
     HypergeomSpec,
     IllDefinedSeriesError,
@@ -17,11 +19,12 @@ from sl2forms.hypergeom import (
     eval_3f2_terminating,
     km_check,
     km_range_verify,
+    km_scaled_sum,
     km_sum,
     series_route_verify,
     to_3f2,
 )
-from sl2forms.rationals import factorial
+from sl2forms.rationals import factorial, reciprocal_factorial
 
 
 def km_params(max_mn=10):
@@ -35,6 +38,70 @@ def km_params(max_mn=10):
             )
         )
     )
+
+
+def reference_km_sum(p):
+    """The sum as one Fraction per reciprocal factorial, 1/j! = 0 for j < 0."""
+    total = Fraction(0)
+    for i in range(p.k + 1):
+        total += (
+            (-1) ** i
+            * factorial(p.m - i)
+            * factorial(p.n - p.k + i)
+            * reciprocal_factorial(i)
+            * reciprocal_factorial(p.k - i)
+            * reciprocal_factorial(p.m - p.l - i)
+            * reciprocal_factorial(p.n + p.l - 2 * p.k + i)
+        )
+    return total
+
+
+def naive_3f2(spec):
+    """Σ terms, each built from one Fraction per Pochhammer factor."""
+    t = spec.truncation_index
+    for i in range(t):
+        for b in spec.lower:
+            if b + i == 0:
+                raise IllDefinedSeriesError(
+                    f"lower parameter {b} hits zero at index {i + 1} "
+                    f"(truncation index {t})"
+                )
+    total = Fraction(0)
+    for i in range(t + 1):
+        term = Fraction(spec.argument) ** i
+        for j in range(i):
+            for a in spec.upper:
+                term *= Fraction(a + j)
+            for b in spec.lower:
+                term /= Fraction(b + j)
+            term /= j + 1
+        total += term
+    return total
+
+
+series_params = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def terminating_specs(draw):
+    """Specs with one non-positive integer upper parameter in any slot,
+    lower parameters that are often non-positive integers (so some specs
+    are ill-defined), and an argument other than 1."""
+    upper = draw(st.permutations([
+        Fraction(-draw(st.integers(min_value=0, max_value=6))),
+        draw(series_params),
+        draw(series_params),
+    ]))
+    lower_param = st.one_of(
+        series_params, st.integers(min_value=-6, max_value=0).map(Fraction)
+    )
+    lower = (draw(lower_param), draw(lower_param))
+    argument = draw(
+        st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(
+            lambda z: z != 1
+        )
+    )
+    return HypergeomSpec(upper=tuple(upper), lower=lower, argument=argument)
 
 
 class TestKMParams:
@@ -68,6 +135,12 @@ class TestKMSum:
         # n+l-2k < 0 makes early summands vanish through 1/(negative)! = 0
         p = KMParams(k=2, l=0, m=2, n=2)
         assert km_sum(p) == (-1) ** (p.k + p.l)
+
+    def test_matches_reciprocal_factorial_reference(self):
+        for p in admissible_tuples(10):
+            reference = reference_km_sum(p)
+            assert km_sum(p) == reference
+            assert km_scaled_sum(p) == reference * factorial(p.k)
 
     @settings(max_examples=60)
     @given(km_params())
@@ -192,6 +265,18 @@ class TestEval3F2:
         with pytest.raises(IllDefinedSeriesError):
             eval_3f2_terminating(spec)
 
+    @settings(max_examples=300)
+    @given(terminating_specs())
+    def test_matches_naive_pochhammer_evaluation(self, spec):
+        try:
+            expected = naive_3f2(spec)
+        except IllDefinedSeriesError as exc:
+            with pytest.raises(IllDefinedSeriesError) as raised:
+                eval_3f2_terminating(spec)
+            assert str(raised.value) == str(exc)
+            return
+        assert eval_3f2_terminating(spec) == expected
+
     def test_lower_parameter_past_truncation_is_fine(self):
         # (-5)_i never vanishes for i ≤ 2, so truncation at 2 keeps this legal
         spec = HypergeomSpec(
@@ -220,3 +305,61 @@ class TestModuleLayerConsistency:
             factorial(l) * factorial(k - l),
         )
         assert Fraction(coeff) / scale == km_sum(p)
+
+
+class TestCorruptionOracles:
+    """Each route can fail on its own: damaging one factor of one route
+    fails exactly the tuples that use it, and leaves the other route clean."""
+
+    BOUND = 10
+    # perm(7, 6) occurs as perm(m-i, l) only with l = 6 and as
+    # perm(n-k+i, k-l) only with k-l = 6; both at once would need k = 12,
+    # past the bound, so no tuple holds it twice and nothing can cancel.
+    BAD_PERM = (7, 6)
+    # The last factor of (-3)_T, doubled; -3 can be a₁ = -k, a₃ = -(m-l)
+    # or b₁ = -m in the series of to_3f2.
+    BAD_PARAM = Fraction(-3)
+
+    def test_falling_factorial_fails_direct_route_only(self, monkeypatch):
+        def corrupted(x, y):
+            return math.perm(x, y) + ((x, y) == self.BAD_PERM)
+
+        monkeypatch.setattr(hypergeom, "perm", corrupted)
+        expected = set()
+        for p in admissible_tuples(self.BOUND):
+            k, l, m, n = p.k, p.l, p.m, p.n
+            for i in range(k + 1):
+                first, second = (m - i, l), (n - k + i, k - l)
+                if (first == self.BAD_PERM and math.perm(*second)) or (
+                    second == self.BAD_PERM and math.perm(*first)
+                ):
+                    expected.add((k, l, m, n))
+        assert expected
+        assert set(km_range_verify(self.BOUND).failures) == expected
+        assert series_route_verify(self.BOUND).ok
+
+    def test_pochhammer_factor_fails_series_route_only(self, monkeypatch):
+        original = hypergeom._pochhammer_numerators
+
+        def corrupted(a, t):
+            factors = list(original(a, t))
+            if a == self.BAD_PARAM and factors:
+                factors[-1] *= 2
+            return factors
+
+        monkeypatch.setattr(hypergeom, "_pochhammer_numerators", corrupted)
+        # Terms t_0..t_T of these series are all nonzero, so doubling the
+        # factor at index T-1 changes the last term and hence the sum,
+        # unless -3 sits in as many upper as lower slots and the change
+        # divides out of the term ratio.
+        expected = set()
+        for p in admissible_tuples(self.BOUND):
+            k, l, m, n = p.k, p.l, p.m, p.n
+            if n + l - 2 * k < 0 or min(k, m - l) == 0:
+                continue
+            upper_hits = (-k == self.BAD_PARAM) + (l - m == self.BAD_PARAM)
+            if upper_hits != (-m == self.BAD_PARAM):
+                expected.add((k, l, m, n))
+        assert expected
+        assert set(series_route_verify(self.BOUND).failures) == expected
+        assert km_range_verify(self.BOUND).ok

@@ -32,6 +32,25 @@ scalars = st.one_of(
 )
 
 
+# Mostly zeros and opposite values, so products often cancel to zero.
+sparse_scalars = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 2)])
+
+
+def sparse_power_cases(max_dim: int = 6):
+    """(square matrix, vector, power) triples."""
+    return st.integers(min_value=1, max_value=max_dim).flatmap(
+        lambda d: st.tuples(
+            st.lists(
+                st.lists(sparse_scalars, min_size=d, max_size=d),
+                min_size=d,
+                max_size=d,
+            ).map(ExactMatrix.from_rows),
+            st.lists(sparse_scalars, min_size=d, max_size=d),
+            st.integers(min_value=0, max_value=5),
+        )
+    )
+
+
 def matrices(max_dim: int = 5):
     return st.integers(min_value=1, max_value=max_dim).flatmap(
         lambda r: st.integers(min_value=1, max_value=max_dim).flatmap(
@@ -116,6 +135,23 @@ class TestArithmetic:
         assert apply_power(shift, (1, 0), 2) == (0, 0)
         with pytest.raises(ValueError):
             apply_power(shift, (1, 0), -1)
+
+    def test_apply_power_drops_cancelled_entries(self):
+        # Av = (0, 1, 0): the first entry cancels, then comes back at A²v
+        a = ExactMatrix.from_rows([[1, -1, 0], [0, 1, 1], [0, 0, 1]])
+        assert apply_power(a, (1, 1, 0), 1) == (0, 1, 0)
+        assert apply_power(a, (1, 1, 0), 2) == (-1, 1, 0)
+        ones = ExactMatrix.from_rows([[1, -1], [1, -1]])
+        assert apply_power(ones, (Fraction(1, 2), Fraction(1, 2)), 3) == (0, 0)
+
+    @settings(max_examples=60)
+    @given(sparse_power_cases())
+    def test_apply_power_matches_repeated_mat_vec(self, case):
+        a, v, s = case
+        expected = tuple(v)
+        for _ in range(s):
+            expected = mat_vec(a, expected)
+        assert apply_power(a, v, s) == expected
 
     def test_dot(self):
         assert dot((1, 2), (3, Fraction(1, 2))) == 4
