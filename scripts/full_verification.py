@@ -13,6 +13,7 @@ import sys
 from fractions import Fraction
 from itertools import product
 
+from sl2forms.cli import _nonneg, _positive
 from sl2forms.rationals import format_rational
 from sl2forms.verify import verify_all
 
@@ -21,8 +22,8 @@ QR_GRID = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3))
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max", type=int, default=12, help="bound on m, n (default 12)")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
+    parser.add_argument("--max", type=_nonneg, default=12, help="bound on m, n (default 12)")
+    parser.add_argument("--jobs", type=_positive, default=1, help="worker processes")
     args = parser.parse_args()
 
     all_ok = True

@@ -10,11 +10,15 @@ in proportion to the nonzeros they touch.  A zero is never stored, so
 equal matrices have equal rows and ``==`` and ``hash`` compare the stored
 rows directly.  `ExactMatrix.entries` is a dense view rebuilt on demand.
 
-The elimination engine is fraction-free (Bareiss) on its own dense
-integer work grid: every row is first scaled to coprime integers, then
-eliminated with the two-term determinant update divided exactly by the
-previous pivot, so intermediate entries stay minor-sized instead of
-growing the way naive fractional elimination lets them.
+The elimination engine is fraction-free (Bareiss) on sparse integer rows:
+zero rows are dropped, every other row is scaled to coprime integers and
+held as a map from column to nonzero value, then eliminated with the
+two-term determinant update divided exactly by the previous pivot, so
+intermediate entries stay minor-sized instead of growing the way naive
+fractional elimination lets them.  The Bareiss rescale of rows that are
+not eliminated at a pivot is applied lazily, when the row is next read,
+so a signed permutation (a tensor Gram matrix) costs a scan per pivot and
+no arithmetic on the rows it does not touch.
 """
 
 from __future__ import annotations
@@ -242,58 +246,69 @@ def apply_power(a: ExactMatrix, v: Sequence[Scalar], s: int) -> tuple[Scalar, ..
     return tuple(dense)
 
 
-def _as_coprime_integer_row(row: Row, cols: int) -> list[int]:
-    """Dense integer row with gcd 1 spanning the same line as a sparse row."""
+def _coprime_integer_row(row: Row) -> dict[int, int]:
+    """Integer row with gcd 1 spanning the same line as a nonempty sparse row."""
     den = math.lcm(*(x.denominator for _, x in row))
     ints = [(j, x.numerator * (den // x.denominator)) for j, x in row]
-    g = math.gcd(*(x for _, x in ints)) or 1
-    dense = [0] * cols
-    for j, x in ints:
-        dense[j] = x // g
-    return dense
+    g = math.gcd(*(x for _, x in ints))
+    return {j: x // g for j, x in ints}
 
 
-def _bareiss_echelon(a: ExactMatrix) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form.
+def _caught_up(row: dict[int, int], stamp: int, prev: int) -> dict[int, int]:
+    """A row last updated when the previous pivot was `stamp`, brought up to
+    the current previous pivot `prev` (see `_bareiss_echelon`)."""
+    if stamp == prev:
+        return row
+    return {j: v * prev // stamp for j, v in row.items()}
 
-    Returns the working integer grid and the pivot column list.  Rows whose
-    pivot-column entry is zero still get the Bareiss rescale (pivot/prev),
-    except when pivot == prev, where the update is the identity and is
-    skipped; this keeps near-permutation inputs quadratic.
+
+def _bareiss_echelon(a: ExactMatrix) -> tuple[list[dict[int, int]], list[int]]:
+    """Fraction-free row echelon form on sparse integer rows.
+
+    Returns the pivot rows, each a map from column to nonzero integer, and
+    their pivot columns, both in pivot order.  Zero rows are dropped up
+    front: they never pivot and no update makes them nonzero.  At column c
+    the first remaining row with an entry there is swapped up to pivot, and
+    every later row with f = row[c] != 0 becomes (piv·row - f·pivot_row)
+    divided exactly by the previous pivot, over the union of the two
+    supports.
+
+    Bareiss also multiplies every row with a zero in the pivot column by
+    piv/prev.  That rescale is lazy here: each row keeps a stamp, the
+    previous pivot at its last update.  The rescales it skipped telescope
+    to prev/stamp, so its true value is stored·prev // stamp, exact because
+    it is the integer the eager rescale would hold.  A row is caught up only
+    when it pivots or is eliminated, and a pivot row is never touched
+    again, so the returned rows are up to date.
     """
-    m = [_as_coprime_integer_row(row, a.cols) for row in a.nonzero_rows]
-    nrows, ncols = a.rows, a.cols
+    work = [_coprime_integer_row(row) for row in a.nonzero_rows if row]
+    stamps = [1] * len(work)
     pivot_cols: list[int] = []
-    r = 0
     prev = 1
-    for c in range(ncols):
-        p = -1
-        for i in range(r, nrows):
-            if m[i][c]:
-                p = i
-                break
-        if p < 0:
+    for c in range(a.cols):
+        r = len(pivot_cols)
+        if r == len(work):
+            break
+        p = next((i for i in range(r, len(work)) if c in work[i]), None)
+        if p is None:
             continue
-        if p != r:
-            m[r], m[p] = m[p], m[r]
-        piv_row = m[r]
+        work[r], work[p] = work[p], work[r]
+        stamps[r], stamps[p] = stamps[p], stamps[r]
+        piv_row = work[r] = _caught_up(work[r], stamps[r], prev)
         piv = piv_row[c]
-        for i in range(r + 1, nrows):
-            row = m[i]
+        for i in range(r + 1, len(work)):
+            if c not in work[i]:
+                continue
+            row = _caught_up(work[i], stamps[i], prev)
             f = row[c]
-            if f:
-                for j in range(c, ncols):
-                    row[j] = (piv * row[j] - f * piv_row[j]) // prev
-            elif piv != prev:
-                for j in range(c + 1, ncols):
-                    if row[j]:
-                        row[j] = piv * row[j] // prev
+            acc = {j: piv * v for j, v in row.items()}
+            for j, v in piv_row.items():
+                acc[j] = acc.get(j, 0) - f * v
+            work[i] = {j: x // prev for j, x in acc.items() if x}
+            stamps[i] = piv
         pivot_cols.append(c)
         prev = piv
-        r += 1
-        if r == nrows:
-            break
-    return m, pivot_cols
+    return work[: len(pivot_cols)], pivot_cols
 
 
 def rank(a: ExactMatrix) -> int:
@@ -308,24 +323,21 @@ def null_space(a: ExactMatrix) -> list[tuple[Fraction, ...]]:
     makes the output deterministic and directly comparable to closed forms
     normalized the same way.
     """
-    echelon, pivot_cols = _bareiss_echelon(a)
+    pivot_rows, pivot_cols = _bareiss_echelon(a)
     pivots = set(pivot_cols)
+    back = list(zip(reversed(pivot_cols), reversed(pivot_rows)))
     basis: list[tuple[Fraction, ...]] = []
     for free in range(a.cols):
         if free in pivots:
             continue
-        x: list[Fraction] = [Fraction(0)] * a.cols
-        x[free] = Fraction(1)
-        for i in reversed(range(len(pivot_cols))):
-            c = pivot_cols[i]
-            row = echelon[i]
-            s = Fraction(0)
-            for j in range(c + 1, a.cols):
-                if x[j] and row[j]:
-                    s += row[j] * x[j]
-            x[c] = -s / row[c]
-        lead = next(v for v in x if v)
-        if lead != 1:
-            x = [v / lead for v in x]
-        basis.append(tuple(x))
+        x = {free: Fraction(1)}
+        for c, row in back:
+            s = sum(v * x[j] for j, v in row.items() if j in x)
+            if s:
+                x[c] = -s / row[c]
+        lead = x[min(x)]
+        dense = [Fraction(0)] * a.cols
+        for j, v in x.items():
+            dense[j] = v / lead
+        basis.append(tuple(dense))
     return basis

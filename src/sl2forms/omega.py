@@ -108,17 +108,19 @@ def y_kernel_singular(m: int, n: int, k: int) -> ModuleVector:
     """The Y-kernel vector of weight -s_k, by exact null-space computation.
 
     Restricts actY of V_m⊗V_n to the (k+1)-dimensional weight space,
-    demands a one-dimensional kernel, and embeds the normalized basis
-    vector (first coordinate 1) back into the full module.
+    keeping only the rows those columns reach, demands a one-dimensional
+    kernel, and embeds the normalized basis vector (first coordinate 1)
+    back into the full module.
     """
     _check_k(m, n, k)
     module = tensor_of_irreducibles(m, n)
     indices = weight_space_indices(module, singular_weight(m, n, k))
-    position = {j: t for t, j in enumerate(indices)}
-    restricted = ExactMatrix.from_sparse(module.dim, len(indices), (
-        [(position[j], v) for j, v in row if j in position]
-        for row in module.actY.nonzero_rows
-    ))
+    columns = module.actY.transpose.nonzero_rows
+    rows: dict[int, list[tuple[int, Scalar]]] = {}
+    for t, j in enumerate(indices):
+        for i, v in columns[j]:
+            rows.setdefault(i, []).append((t, v))
+    restricted = ExactMatrix.from_sparse(len(rows), len(indices), rows.values())
     kernel = null_space(restricted)
     if len(kernel) != 1:
         raise InconsistencyError(

@@ -237,7 +237,12 @@ def verify_all(
     jobs: int = 1,
     corrupt: bool = False,
 ) -> list[SuiteResult]:
-    """Run every suite at the same bound; order is fixed and deterministic."""
+    """Run every suite at the same bound; order is fixed and deterministic.
+
+    A negative bound is rejected before any suite runs.
+    """
+    if bound < 0:
+        raise ValueError(f"bound must be nonnegative (got {bound})")
     return [
         sweep_relations(bound, jobs=jobs, corrupt=corrupt),
         sweep_star_forms(bound, q, r, jobs=jobs),

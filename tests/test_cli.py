@@ -6,6 +6,7 @@ would."""
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 BASE = [sys.executable, "-m", "sl2forms"]
 
@@ -198,3 +199,19 @@ class TestUsage:
 
     def test_one_job_runs(self):
         assert run("verify-all", "--max", "1", "--jobs", "1").returncode == 0
+
+
+class TestFullVerificationScript:
+    """scripts/full_verification.py parses --max and --jobs with the CLI's
+    argument types."""
+
+    SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "full_verification.py"
+
+    def test_bad_bounds_are_usage_errors(self):
+        for flag, value in (("--max", "-1"), ("--jobs", "-5"), ("--jobs", "0")):
+            proc = subprocess.run(
+                [sys.executable, str(self.SCRIPT), flag, value],
+                capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 2, (flag, value)
+            assert "Traceback" not in proc.stderr

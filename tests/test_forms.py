@@ -18,7 +18,7 @@ from sl2forms.forms import (
     structure_of,
     tensor_form,
 )
-from sl2forms.linalg import ExactMatrix, identity
+from sl2forms.linalg import ExactMatrix, identity, rank
 from sl2forms.modules import (
     ModuleVector,
     irreducible,
@@ -27,6 +27,14 @@ from sl2forms.modules import (
 )
 
 nonzero_q = st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool)
+
+
+def gram_with(gram, changes):
+    """gram with the entries at the (i, j) keys of `changes` replaced."""
+    rows = [dict(row) for row in gram.nonzero_rows]
+    for (i, j), v in changes.items():
+        rows[i][j] = v
+    return ExactMatrix.from_sparse(gram.rows, gram.cols, (r.items() for r in rows))
 
 
 def basis_vector(module, j):
@@ -113,6 +121,58 @@ class TestStructureOf:
         shape_ok, constant = structure_of(form)
         expected = shape_ok and bool(constant)
         assert is_star_form(module, form).ok == expected
+
+
+class TestLargeTensorForm:
+    """Corruption oracles for star-forms on V_20⊗V_20 (441-dim), whose Gram
+    matrix is q·r times the anti-identity."""
+
+    M = 20
+
+    def form(self, q, r):
+        t = tensor_of_irreducibles(self.M, self.M)
+        return t, tensor_form(canonical_form(self.M, q), canonical_form(self.M, r), t)
+
+    @pytest.mark.parametrize("r", [Fraction(-2, 5), Fraction(2, 5)])
+    def test_passes_for_either_sign_of_qr(self, r):
+        t, form = self.form(Fraction(3), r)
+        assert is_star_form(t, form).ok
+
+    def test_zeroed_anti_diagonal_pair_is_degenerate(self):
+        # Zeroing one pair keeps the (w, -w) pairing, so the H identity
+        # holds, but GX and GY are no longer symmetric.
+        t, form = self.form(Fraction(3), Fraction(-2, 5))
+        i, j = 7, t.dim - 1 - 7
+        gram = gram_with(form.gram, {(i, j): 0, (j, i): 0})
+        report = is_star_form(t, BilinearForm(t, gram))
+        assert not report.nondegenerate
+        assert report.failures == ("Q(Xu,v)=Q(u,Xv)", "Q(Yu,v)=Q(u,Yv)")
+
+    def test_degenerate_compatible_form_fails_on_rank_alone(self):
+        """G·(Ω - λ), with Ω = 2(XY + YX) + H² the Casimir element and
+        λ = 40·42 its value on the top summand V_40, is symmetric and
+        compatible, and kills V_40: only the rank route can reject it."""
+        t, form = self.form(Fraction(3), Fraction(-2, 5))
+        x, y, h = t.actX, t.actY, t.actH
+        casimir = (x @ y + y @ x).scaled(2) + h @ h
+        s = 2 * self.M
+        gram = form.gram @ (casimir - identity(t.dim).scaled(s * (s + 2)))
+        report = is_star_form(t, BilinearForm(t, gram))
+        assert report.failures == ()
+        assert not report.nondegenerate
+        assert rank(gram) == t.dim - (s + 1)
+
+    def test_pair_moved_off_weight_pairing_fails_h_identity(self):
+        t, form = self.form(Fraction(3), Fraction(-2, 5))
+        i, j = 7, t.dim - 1 - 7
+        assert t.weights[i] + t.weights[j] == 0
+        assert t.weights[i] + t.weights[j - 1] != 0
+        value = dict(form.gram.nonzero_rows[i])[j]
+        gram = gram_with(
+            form.gram, {(i, j): 0, (j, i): 0, (i, j - 1): value, (j - 1, i): value}
+        )
+        report = is_star_form(t, BilinearForm(t, gram))
+        assert "Q(Hu,v)=-Q(u,Hv)" in report.failures
 
 
 class TestTensorForm:

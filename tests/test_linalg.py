@@ -1,10 +1,11 @@
 """Exact linear algebra: frozen examples plus randomized cross-checks.
 
-The randomized rank tests compare the fraction-free engine against a naive
-Gaussian elimination over Fraction written independently here, so the two
-share no code path.
+The randomized rank and kernel tests compare the fraction-free engine
+against a naive reduced row echelon form over Fraction written
+independently here, so the two share no code path.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from sl2forms.linalg import (
     ExactMatrix,
+    _bareiss_echelon,
     apply_power,
     commutator,
     dot,
@@ -63,22 +65,149 @@ def matrices(max_dim: int = 5):
     )
 
 
-def naive_rank(a: ExactMatrix) -> int:
-    """Plain fractional Gaussian elimination, used as an oracle only."""
-    m = [[Fraction(x) for x in row] for row in a.entries]
-    r = 0
+def _zeroed(grid, zero_rows, zero_cols) -> ExactMatrix:
+    return ExactMatrix.from_rows(
+        [0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+        for i, row in enumerate(grid)
+    )
+
+
+def sparse_matrices(max_dim: int = 10):
+    """Matrices over `sparse_scalars` with a drawn set of rows and columns
+    zeroed out."""
+    return st.integers(min_value=1, max_value=max_dim).flatmap(
+        lambda r: st.integers(min_value=1, max_value=max_dim).flatmap(
+            lambda c: st.builds(
+                _zeroed,
+                st.lists(
+                    st.lists(sparse_scalars, min_size=c, max_size=c),
+                    min_size=r,
+                    max_size=r,
+                ),
+                st.sets(st.integers(min_value=0, max_value=r - 1)),
+                st.sets(st.integers(min_value=0, max_value=c - 1)),
+            )
+        )
+    )
+
+
+def _signed_permutation(perm, sign, scales, combos, extra_cols) -> ExactMatrix:
+    d = len(perm)
+    rows = [[0] * d for _ in range(d)]
+    for i, (j, scale) in enumerate(zip(perm, scales)):
+        rows[i][j] = sign * scale
+    rows += [
+        [sum(c * row[j] for c, row in zip(combo, rows)) for j in range(d)]
+        for combo in combos
+    ]
+    return ExactMatrix.from_rows(row + extra for row, extra in zip(rows, extra_cols))
+
+
+def signed_permutations(max_dim: int = 8):
+    """A permutation matrix with positive scales on its rows and one sign on
+    all of them, then rows that combine a few of its rows, then a few extra
+    sparse columns.
+
+    Scaled to coprime integers, every permutation row is ±1 of that sign, so
+    with sign -1 every Bareiss pivot has the opposite sign of the previous
+    one: each rescale piv/prev is -1, the lazy rescale path.  The combined
+    rows skip some pivot columns before they are eliminated, so they are
+    read after rescales they skipped.
+    """
+    positive = st.sampled_from([1, 2, 3, Fraction(1, 2), Fraction(3, 4)])
+    return st.integers(min_value=1, max_value=max_dim).flatmap(
+        lambda d: st.integers(min_value=0, max_value=3).flatmap(
+            lambda extra: st.integers(min_value=0, max_value=2).flatmap(
+                lambda ncols: st.builds(
+                    _signed_permutation,
+                    st.permutations(range(d)),
+                    st.sampled_from([1, -1]),
+                    st.lists(positive, min_size=d, max_size=d),
+                    st.lists(
+                        st.lists(sparse_scalars, min_size=d, max_size=d),
+                        min_size=extra,
+                        max_size=extra,
+                    ),
+                    st.lists(
+                        st.lists(sparse_scalars, min_size=ncols, max_size=ncols),
+                        min_size=d + extra,
+                        max_size=d + extra,
+                    ),
+                )
+            )
+        )
+    )
+
+
+def eager_bareiss(a: ExactMatrix) -> tuple[list[dict[int, int]], list[int]]:
+    """Dense Bareiss with the rescale piv/prev applied to every row at every
+    pivot, on the nonzero rows scaled to coprime integers: the values the
+    lazy engine must reproduce exactly.  Oracle only."""
+    m = []
+    for row in a.entries:
+        if any(row):
+            den = math.lcm(*(Fraction(x).denominator for x in row))
+            ints = [int(x * den) for x in row]
+            g = math.gcd(*ints)
+            m.append([x // g for x in ints])
+    pivots: list[int] = []
+    prev = 1
     for c in range(a.cols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        piv = m[r][c]
+        for i in range(r + 1, len(m)):
+            f = m[i][c]
+            m[i] = [(piv * x - f * y) // prev for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        prev = piv
+    return [{j: x for j, x in enumerate(row) if x} for row in m[: len(pivots)]], pivots
+
+
+def naive_rref(a: ExactMatrix) -> tuple[list[list[Fraction]], list[int]]:
+    """Plain fractional reduced row echelon form and its pivot columns, used
+    as an oracle only."""
+    m = [[Fraction(x) for x in row] for row in a.entries]
+    pivots: list[int] = []
+    for c in range(a.cols):
+        r = len(pivots)
         p = next((i for i in range(r, a.rows) if m[i][c]), None)
         if p is None:
             continue
         m[r], m[p] = m[p], m[r]
         piv = m[r][c]
+        m[r] = [x / piv for x in m[r]]
         for i in range(a.rows):
             if i != r and m[i][c]:
-                f = m[i][c] / piv
+                f = m[i][c]
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-    return r
+        pivots.append(c)
+    return m, pivots
+
+
+def naive_rank(a: ExactMatrix) -> int:
+    return len(naive_rref(a)[1])
+
+
+def naive_null_space(a: ExactMatrix) -> list[tuple[Fraction, ...]]:
+    """The kernel basis read off the reduced row echelon form: per free
+    column, that coordinate 1, the other free ones 0, scaled so the first
+    nonzero coordinate is 1."""
+    m, pivots = naive_rref(a)
+    basis = []
+    for free in range(a.cols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * a.cols
+        v[free] = Fraction(1)
+        for row, c in zip(m, pivots):
+            v[c] = -row[free]
+        lead = next(x for x in v if x)
+        basis.append(tuple(x / lead for x in v))
+    return basis
 
 
 class TestShapes:
@@ -256,6 +385,26 @@ class TestRankAndKernel:
         for v in basis:
             assert mat_vec(a, v) == zero
             assert next(x for x in v if x) == 1
+
+    @settings(max_examples=200)
+    @given(st.one_of(sparse_matrices(), signed_permutations()))
+    def test_sparse_engine_matches_naive_elimination(self, a):
+        assert rank(a) == naive_rank(a)
+        assert null_space(a) == naive_null_space(a)
+        assert _bareiss_echelon(a) == eager_bareiss(a)
+
+    def test_lazy_rescale_matches_eager_values(self):
+        # pivots -1, 3, -3; the first row skips two rescales before it
+        # pivots, the third and the last (first + third) one before they
+        # are read
+        a = ExactMatrix.from_rows(
+            [[0, 0, -2, 0], [-1, 0, 0, 0], [0, -3, 0, 1], [0, -3, -2, 1]]
+        )
+        assert _bareiss_echelon(a) == (
+            [{0: -1}, {1: 3, 3: -1}, {2: -3}], [0, 1, 2]
+        )
+        assert rank(a) == 3
+        assert null_space(a) == [(0, 1, 0, 3)]
 
     @settings(max_examples=40)
     @given(matrices(max_dim=4), matrices(max_dim=4))

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sl2forms import parallel
+from sl2forms import parallel, verify
 from sl2forms.verify import (
     SuiteResult,
     sweep_decomposition,
@@ -60,6 +60,14 @@ class TestSuites:
         assert sweep_x_power(2).checks == sweep_singular_vectors(2).checks
         assert sweep_karlsson_minton(1).checks == 6
         assert sweep_omega_signs(2).checks == sweep_singular_vectors(2).checks
+
+    def test_negative_bound_rejected_before_any_suite(self, monkeypatch):
+        def suite_ran(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(verify, "sweep_relations", suite_ran)
+        with pytest.raises(ValueError, match="nonnegative"):
+            verify_all(-1)
 
     def test_corruption_flips_relations_suite(self):
         suites = verify_all(2, corrupt=True)
