@@ -14,7 +14,6 @@ from fractions import Fraction
 from itertools import product
 
 from sl2forms.cli import _nonneg, _positive
-from sl2forms.rationals import format_rational
 from sl2forms.verify import verify_all
 
 QR_GRID = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3))
@@ -34,7 +33,7 @@ def main() -> int:
         checks = sum(s.checks for s in suites)
         seconds = sum(s.seconds for s in suites)
         print(
-            f"q={format_rational(q):>4} r={format_rational(r):>4}  "
+            f"q={str(q):>4} r={str(r):>4}  "
             f"{checks:6d} checks  {seconds:6.2f}s  {'PASS' if ok else 'FAIL'}"
         )
         for s in suites:

@@ -66,7 +66,6 @@ from .omega import (
 from .rationals import (
     binomial,
     factorial,
-    format_rational,
     parse_rational,
     reciprocal_factorial,
     sign,
@@ -104,7 +103,6 @@ __all__ = [
     "eval_3f2_terminating",
     "evaluate",
     "factorial",
-    "format_rational",
     "format_vector",
     "irreducible",
     "is_star_form",

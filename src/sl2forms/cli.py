@@ -26,7 +26,7 @@ from .omega import (
     y_kernel_singular,
 )
 from .parallel import default_jobs
-from .rationals import format_rational, parse_rational
+from .rationals import parse_rational
 from .verify import SuiteResult, sweep_relations, sweep_star_forms, verify_all
 
 _SIGN_CHAR = {1: "+", -1: "-", 0: "0"}
@@ -161,7 +161,7 @@ def cmd_singular_vector(args: argparse.Namespace) -> int:
         _emit_json({
             "m": m, "n": n, "k": k, "s": s,
             "terms": [
-                [name, format_rational(c)]
+                [name, str(c)]
                 for name, c in zip(module.basis_names, b.coords) if c
             ],
             "y_annihilates": annihilated,
@@ -185,19 +185,19 @@ def cmd_omega_table(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit_json({
             "m": table.m, "n": table.n,
-            "q": format_rational(table.q), "r": format_rational(table.r),
+            "q": str(table.q), "r": str(table.r),
             "rows": [
                 {"k": row.k, "s": row.s,
-                 "value": format_rational(row.value), "sign": row.sign}
+                 "value": str(row.value), "sign": row.sign}
                 for row in table.rows
             ],
             "alternating": report.ok,
         })
     else:
         print(f"ω_k(b,b) on V{table.m}⊗V{table.n} with "
-              f"q={format_rational(table.q)}, r={format_rational(table.r)}")
+              f"q={table.q}, r={table.r}")
         for row in table.rows:
-            print(f"  k={row.k}  s={row.s}  ω={format_rational(row.value)}  "
+            print(f"  k={row.k}  s={row.s}  ω={row.value}  "
                   f"sign={_SIGN_CHAR[row.sign]}")
         print(f"alternating: {'PASS' if report.ok else 'FAIL'}")
     return 0 if report.ok else 1
@@ -224,8 +224,8 @@ def _emit_suites(args: argparse.Namespace, suites: Sequence[SuiteResult]) -> int
     if args.format == "json":
         _emit_json({
             "max": args.max,
-            "q": format_rational(args.q),
-            "r": format_rational(args.r),
+            "q": str(args.q),
+            "r": str(args.r),
             "suites": [
                 {"name": s.name, "checks": s.checks, "failures": list(s.failures)}
                 for s in suites

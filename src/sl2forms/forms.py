@@ -13,6 +13,14 @@ two directions of the classification can be certified independently.
 
 Tensor modules inherit (Q⊗R)(a⊗b, a'⊗b') = Q(a,a')·R(b,b'), a Kronecker
 pairing of Gram matrices in the lexicographic tensor basis.
+
+`is_star_form` checks a form through the primitive integer multiple of its
+Gram matrix (`linalg.primitive_integer`).  That is equivalent: each
+identity is homogeneous and linear in the Gram matrix, so it holds for a
+nonzero multiple exactly when it holds for the matrix itself, and rank does
+not change under a nonzero scale.  The integer multiple keeps the checks
+out of `Fraction` arithmetic: a tensor Gram matrix q·r·P, with P the
+anti-diagonal permutation matrix, becomes ±P.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .linalg import ExactMatrix, dot, kron, mat_vec, rank
+from .linalg import ExactMatrix, dot, kron, mat_vec, primitive_integer, rank
 from .modules import ModuleVector, WeightModule, irreducible
 from .rationals import Scalar
 
@@ -76,13 +84,16 @@ def is_star_form(module: WeightModule, form: BilinearForm) -> StarFormReport:
     """Check the three compatibility identities and nondegeneracy, exactly.
 
     In Gram-matrix terms the identities read Gᵀ·gram = gram·G for G = actX,
-    actY and Gᵀ·gram = -gram·G for actH.
+    actY and Gᵀ·gram = -gram·G for actH.  They are compared as full matrix
+    products on the primitive integer multiple of the Gram matrix, and rank
+    is taken of that multiple too: both sides of each identity scale by the
+    same positive factor, and a nonzero scale keeps the rank.
     """
     if form.module is not module and form.module != module:
         raise ValueError(
             f"form lives on {form.module.label}, not {module.label}"
         )
-    gram = form.gram
+    gram = primitive_integer(form.gram)
     failures = []
     if module.actX.transpose @ gram != gram @ module.actX:
         failures.append("Q(Xu,v)=Q(u,Xv)")

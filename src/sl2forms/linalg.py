@@ -9,6 +9,8 @@ nonzeros and sums, products, transposes and Kronecker products cost time
 in proportion to the nonzeros they touch.  A zero is never stored, so
 equal matrices have equal rows and ``==`` and ``hash`` compare the stored
 rows directly.  `ExactMatrix.entries` is a dense view rebuilt on demand.
+`primitive_integer` scales a matrix to coprime integers, for checks that
+are unchanged by a positive scale and cheaper without `Fraction`s.
 
 The elimination engine is fraction-free (Bareiss) on sparse integer rows:
 zero rows are dropped, every other row is scaled to coprime integers and
@@ -246,12 +248,39 @@ def apply_power(a: ExactMatrix, v: Sequence[Scalar], s: int) -> tuple[Scalar, ..
     return tuple(dense)
 
 
+def _content(values: Sequence[Scalar]) -> tuple[int, int]:
+    """(lcm of the denominators, gcd of the numerators) of nonzero rationals.
+
+    Scaling by den/g > 0 turns them into coprime integers: x = p/q in
+    lowest terms becomes (p // g)·(den // q).
+    """
+    den = math.lcm(*(x.denominator for x in values))
+    return den, math.gcd(*(x.numerator for x in values))
+
+
+def primitive_integer(a: ExactMatrix) -> ExactMatrix:
+    """The positive multiple of `a` whose entries are integers with gcd 1.
+
+    The zero matrix, and any matrix with no entries, comes back unchanged.
+    """
+    values = [x for row in a.nonzero_rows for _, x in row]
+    if not values:
+        return a
+    den, g = _content(values)
+    return ExactMatrix._stored(
+        a.rows,
+        a.cols,
+        tuple(
+            tuple((j, x.numerator // g * (den // x.denominator)) for j, x in row)
+            for row in a.nonzero_rows
+        ),
+    )
+
+
 def _coprime_integer_row(row: Row) -> dict[int, int]:
     """Integer row with gcd 1 spanning the same line as a nonempty sparse row."""
-    den = math.lcm(*(x.denominator for _, x in row))
-    ints = [(j, x.numerator * (den // x.denominator)) for j, x in row]
-    g = math.gcd(*(x for _, x in ints))
-    return {j: x // g for j, x in ints}
+    den, g = _content([x for _, x in row])
+    return {j: x.numerator // g * (den // x.denominator) for j, x in row}
 
 
 def _caught_up(row: dict[int, int], stamp: int, prev: int) -> dict[int, int]:

@@ -31,7 +31,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .linalg import ExactMatrix, commutator, identity, kron, mat_vec
-from .rationals import Scalar, format_rational
+from .rationals import Scalar
 
 GENERATORS = ("X", "Y", "H")
 
@@ -259,7 +259,7 @@ def format_vector(module: WeightModule, coords: Sequence[Scalar]) -> str:
     for name, c in zip(module.basis_names, coords):
         if not c:
             continue
-        mag = format_rational(abs(c))
+        mag = str(abs(c))
         body = name if mag == "1" else f"{mag}·{name}"
         if not pieces:
             pieces.append(body if c > 0 else f"-{body}")

@@ -59,8 +59,3 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational literal: {text!r}") from exc
-
-
-def format_rational(x: Scalar) -> str:
-    """Render as ``p/q``, omitting the denominator when it is 1."""
-    return str(x)

@@ -33,7 +33,7 @@ from .omega import (
     y_kernel_singular,
 )
 from .parallel import parallel_map
-from .rationals import Scalar, format_rational
+from .rationals import Scalar
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,7 @@ def _star_pair(pair: tuple[int, int], q: Fraction, r: Fraction) -> tuple[int, li
     if report.ok:
         return 1, []
     problems = list(report.failures) + ([] if report.nondegenerate else ["degenerate"])
-    return 1, [f"{report.label} q={format_rational(q)} r={format_rational(r)}: "
-               + ", ".join(problems)]
+    return 1, [f"{report.label} q={q} r={r}: " + ", ".join(problems)]
 
 
 def sweep_star_forms(
@@ -118,8 +117,7 @@ def sweep_star_forms(
             report = is_star_form(irreducible(m), canonical_form(m, c))
             results.append(
                 (1, [] if report.ok
-                 else [f"{report.label} q={format_rational(c)}: "
-                       + ", ".join(report.failures)])
+                 else [f"{report.label} q={c}: " + ", ".join(report.failures)])
             )
     results += parallel_map(partial(_star_pair, q=q, r=r), _grid(bound), jobs)
     return _collect("star-forms", t0, results)
@@ -149,13 +147,13 @@ def _singular_pair(pair: tuple[int, int]) -> tuple[int, list[str]]:
     checks, failures = 0, []
     for k in range(min(m, n) + 1):
         checks += 1
-        b = b_closed_form(m, n, k)
-        if not y_annihilates(b):
-            failures.append(f"(m={m},n={n},k={k}): Y·b != 0")
-            continue
         try:
+            b = b_closed_form(m, n, k)
+            if not y_annihilates(b):
+                failures.append(f"(m={m},n={n},k={k}): Y·b != 0")
+                continue
             kernel = y_kernel_singular(m, n, k)
-        except InconsistencyError as exc:
+        except (InconsistencyError, ValueError) as exc:
             failures.append(f"(m={m},n={n},k={k}): {exc}")
             continue
         if kernel != b:
@@ -207,17 +205,16 @@ def sweep_series_route(bound: int) -> SuiteResult:
 
 def _omega_pair(pair: tuple[int, int], q: Fraction, r: Fraction) -> tuple[int, list[str]]:
     m, n = pair
+    checks = min(m, n) + 1
     try:
         report = check_sign_alternation(m, n, q, r)
-    except InconsistencyError as exc:
-        return 1, [f"V_{m}⊗V_{n}: {exc}"]
-    checks = len(report.table.rows)
+    except (InconsistencyError, ValueError) as exc:
+        # a bad case is one failure; it must not abort the sweep
+        return checks, [f"V_{m}⊗V_{n}: {exc}"]
     if report.ok:
         return checks, []
     signs = tuple(row.sign for row in report.table.rows)
-    return checks, [
-        f"V_{m}⊗V_{n} q={format_rational(q)} r={format_rational(r)}: signs {signs}"
-    ]
+    return checks, [f"V_{m}⊗V_{n} q={q} r={r}: signs {signs}"]
 
 
 def sweep_omega_signs(

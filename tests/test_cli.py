@@ -8,7 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 BASE = [sys.executable, "-m", "sl2forms"]
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(*args):
@@ -215,3 +218,34 @@ class TestFullVerificationScript:
             )
             assert proc.returncode == 2, (flag, value)
             assert "Traceback" not in proc.stderr
+
+
+# (golden file, arguments, exit code).  Each file under tests/golden/ is the
+# command's stdout, byte for byte; after an intended output change,
+# regenerate it with `python -m sl2forms ARGS > tests/golden/NAME.txt`.
+GOLDEN_CASES = [
+    ("verify-all-max6-text",
+     ["verify-all", "--max", "6", "--jobs", "1", "--q=-3/2", "--r=5/7"], 0),
+    ("verify-all-max6-json",
+     ["verify-all", "--max", "6", "--jobs", "1", "--q=-3/2", "--r=5/7",
+      "--format", "json"], 0),
+    ("verify-all-max4-corrupt",
+     ["verify-all", "--max", "4", "--jobs", "1", "--debug-corrupt"], 1),
+    ("omega-table-5-3", ["omega-table", "5", "3", "--q=2/3", "--r=-7"], 0),
+    # the README's command-line examples, as written there
+    ("readme-decompose", ["decompose", "2", "3"], 0),
+    ("readme-singular-vector", ["singular-vector", "1", "1", "1"], 0),
+    ("readme-omega-table", ["omega-table", "2", "1"], 0),
+    ("readme-verify-km", ["verify-km", "--max", "20"], 0),
+    ("readme-verify-star", ["verify-star", "--max", "12", "--q", "1/2"], 0),
+    ("readme-verify-all", ["verify-all", "--max", "8"], 0),
+]
+
+
+@pytest.mark.parametrize(
+    "name, args, code", GOLDEN_CASES, ids=[case[0] for case in GOLDEN_CASES]
+)
+def test_stdout_matches_golden(name, args, code):
+    proc = subprocess.run(BASE + args, capture_output=True, timeout=300)
+    assert proc.returncode == code
+    assert proc.stdout == (GOLDEN / f"{name}.txt").read_bytes()

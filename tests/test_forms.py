@@ -123,6 +123,84 @@ class TestStructureOf:
         assert is_star_form(module, form).ok == expected
 
 
+def fraction_star_check(module, gram):
+    """`is_star_form`'s checks as they were before the integer path: the
+    identity products and the rank taken on the Gram matrix itself, in
+    `Fraction` arithmetic.  Oracle only."""
+    failures = []
+    if module.actX.transpose @ gram != gram @ module.actX:
+        failures.append("Q(Xu,v)=Q(u,Xv)")
+    if module.actY.transpose @ gram != gram @ module.actY:
+        failures.append("Q(Yu,v)=Q(u,Yv)")
+    if module.actH.transpose @ gram != (gram @ module.actH).scaled(-1):
+        failures.append("Q(Hu,v)=-Q(u,Hv)")
+    return tuple(failures), rank(gram) == module.dim
+
+
+# Zero, negative, integer and mixed-denominator entries.
+gram_entries = st.one_of(
+    st.just(0),
+    st.integers(min_value=-5, max_value=5),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+)
+
+
+@st.composite
+def modules_and_grams(draw):
+    """A module V_m or V_m⊗V_n (m, n ≤ 3) and a symmetric Gram matrix on it.
+
+    The base is one of: random symmetric entries; random entries on the
+    (w, -w) weight pairs only, so the H identity holds; or the tensor form
+    times a + b·Ω, Ω the Casimir element, which is compatible and is
+    degenerate when a + b·s(s+2) = 0 for a summand V_s.  Then up to two
+    symmetric pairs of entries are overwritten.
+    """
+    m = draw(st.integers(min_value=0, max_value=3))
+    if draw(st.booleans()):
+        module, s_values = irreducible(m), [m]
+        form = canonical_form(m, draw(nonzero_q))
+    else:
+        n = draw(st.integers(min_value=0, max_value=3))
+        module = tensor_of_irreducibles(m, n)
+        s_values = list(range(abs(m - n), m + n + 1, 2))
+        form = tensor_form(
+            canonical_form(m, draw(nonzero_q)), canonical_form(n, draw(nonzero_q)),
+            module,
+        )
+    d, w = module.dim, module.weights
+    base = draw(st.sampled_from(["random", "weight-paired", "casimir"]))
+    if base == "casimir":
+        x, y, h = module.actX, module.actY, module.actH
+        casimir = (x @ y + y @ x).scaled(2) + h @ h
+        b = draw(gram_entries)
+        s = draw(st.sampled_from(s_values))
+        a = draw(st.one_of(gram_entries, st.just(-b * s * (s + 2))))
+        grid = [list(row) for row in
+                (form.gram @ (identity(d).scaled(a) + casimir.scaled(b))).entries]
+    else:
+        grid = [[0] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i + 1):
+                if base == "random" or w[i] + w[j] == 0:
+                    grid[i][j] = grid[j][i] = draw(gram_entries)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        i = draw(st.integers(min_value=0, max_value=d - 1))
+        j = draw(st.integers(min_value=0, max_value=d - 1))
+        grid[i][j] = grid[j][i] = draw(gram_entries)
+    return module, ExactMatrix.from_rows(grid)
+
+
+class TestIntegerGramOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(modules_and_grams())
+    def test_matches_fraction_products(self, case):
+        module, gram = case
+        report = is_star_form(module, BilinearForm(module, gram))
+        assert (report.failures, report.nondegenerate) == fraction_star_check(
+            module, gram
+        )
+
+
 class TestLargeTensorForm:
     """Corruption oracles for star-forms on V_20⊗V_20 (441-dim), whose Gram
     matrix is q·r times the anti-identity."""

@@ -22,6 +22,7 @@ from sl2forms.linalg import (
     kron,
     mat_vec,
     null_space,
+    primitive_integer,
     rank,
     zeros,
 )
@@ -333,6 +334,58 @@ class TestCanonicalStorage:
             ExactMatrix.from_sparse(1, 2, [[(2, 1)]])
         with pytest.raises(ValueError):
             ExactMatrix.from_sparse(2, 2, [[(0, 1)]])
+
+
+class TestPrimitiveInteger:
+    @settings(max_examples=100)
+    @given(st.one_of(matrices(), sparse_matrices()))
+    def test_coprime_integer_positive_multiple(self, a):
+        p = primitive_integer(a)
+        values = [x for row in p.nonzero_rows for _, x in row]
+        if not values:
+            assert p == a
+            return
+        assert all(type(x) is int for x in values)
+        assert math.gcd(*values) == 1
+        # the same support, and one positive factor c with p = c·a, so
+        # every sign is kept
+        assert [[j for j, _ in row] for row in p.nonzero_rows] == [
+            [j for j, _ in row] for row in a.nonzero_rows
+        ]
+        i, row = next((i, row) for i, row in enumerate(a.nonzero_rows) if row)
+        c = Fraction(p.nonzero_rows[i][0][1]) / row[0][1]
+        assert c > 0
+        assert a.scaled(c) == p
+
+    def test_frozen_examples(self):
+        half_third = ExactMatrix.from_rows(
+            [[Fraction(1, 2), Fraction(-1, 3)], [0, Fraction(5, 6)]]
+        )
+        assert primitive_integer(half_third).nonzero_rows == (
+            ((0, 3), (1, -2)), ((1, 5),)
+        )
+        assert primitive_integer(ExactMatrix.from_rows([[4, -6]])) == (
+            ExactMatrix.from_rows([[2, -3]])
+        )
+        assert primitive_integer(
+            ExactMatrix.from_rows([[Fraction(-2, 3), Fraction(-4, 9)]])
+        ).nonzero_rows == (((0, -3), (1, -2)),)
+
+    def test_zero_and_empty_matrices_come_back_unchanged(self):
+        for a in (zeros(3, 4), zeros(0, 2), ExactMatrix(0, 0, ())):
+            assert primitive_integer(a) == a
+
+    def test_primitive_integer_matrix_comes_back_equal(self):
+        a = ExactMatrix.from_rows([[0, 2, -3], [5, 0, 0]])
+        assert primitive_integer(a) == a
+        p = primitive_integer(ExactMatrix.from_rows([[Fraction(2), Fraction(-3)]]))
+        assert p == ExactMatrix.from_rows([[2, -3]])
+        assert all(type(x) is int for row in p.nonzero_rows for _, x in row)
+
+    @settings(max_examples=60)
+    @given(st.one_of(matrices(), sparse_matrices(), signed_permutations()))
+    def test_rank_is_kept(self, a):
+        assert rank(primitive_integer(a)) == rank(a)
 
 
 class TestRankAndKernel:

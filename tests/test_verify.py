@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from sl2forms import parallel, verify
+from sl2forms import omega, parallel, verify
+from sl2forms.modules import ModuleVector
 from sl2forms.verify import (
     SuiteResult,
     sweep_decomposition,
@@ -81,6 +82,49 @@ class TestSuites:
     def test_corruption_at_bound_zero(self):
         suites = verify_all(0, corrupt=True)
         assert not suites[0].ok
+
+
+class TestOneBadCase:
+    """A case that raises is recorded as one failure naming it; the sweep
+    goes on and counts the same checks."""
+
+    def test_degenerate_omega_is_one_failure(self, monkeypatch):
+        # Both ω routes give 0 for k = 0 on V_2⊗V_1, so they agree and the
+        # real OmegaReport validation raises ValueError.
+        case = (2, 1, 0)
+        brute, closed = omega.x_power_b_brute, omega.omega_closed
+
+        def zero_brute(m, n, k):
+            v = brute(m, n, k)
+            if (m, n, k) != case:
+                return v
+            return ModuleVector(v.module, (0,) * v.module.dim)
+
+        def zero_closed(m, n, k, q, r):
+            return 0 if (m, n, k) == case else closed(m, n, k, q, r)
+
+        clean = sweep_omega_signs(3)
+        monkeypatch.setattr(omega, "x_power_b_brute", zero_brute)
+        monkeypatch.setattr(omega, "omega_closed", zero_closed)
+        damaged = sweep_omega_signs(3)
+        assert damaged.failures == (
+            "V_2⊗V_1: row k=0 has value 0; ω_k must be nondegenerate",
+        )
+        assert damaged.checks == clean.checks
+
+    def test_value_error_in_singular_route_is_one_failure(self, monkeypatch):
+        kernel = verify.y_kernel_singular
+
+        def broken(m, n, k):
+            if (m, n, k) == (2, 1, 1):
+                raise ValueError("damaged")
+            return kernel(m, n, k)
+
+        clean = sweep_singular_vectors(3)
+        monkeypatch.setattr(verify, "y_kernel_singular", broken)
+        damaged = sweep_singular_vectors(3)
+        assert damaged.failures == ("(m=2,n=1,k=1): damaged",)
+        assert damaged.checks == clean.checks
 
 
 class TestDeterminismAndParallelism:
