@@ -27,7 +27,7 @@ from .omega import (
 )
 from .parallel import default_jobs
 from .rationals import parse_rational
-from .verify import SuiteResult, sweep_relations, sweep_star_forms, verify_all
+from .verify import SuiteResult, verify_all, verify_star
 
 _SIGN_CHAR = {1: "+", -1: "-", 0: "0"}
 
@@ -242,11 +242,7 @@ def _emit_suites(args: argparse.Namespace, suites: Sequence[SuiteResult]) -> int
 
 
 def cmd_verify_star(args: argparse.Namespace) -> int:
-    suites = [
-        sweep_relations(args.max, jobs=args.jobs),
-        sweep_star_forms(args.max, args.q, args.r, jobs=args.jobs),
-    ]
-    return _emit_suites(args, suites)
+    return _emit_suites(args, verify_star(args.max, args.q, args.r, jobs=args.jobs))
 
 
 def cmd_verify_all(args: argparse.Namespace) -> int:

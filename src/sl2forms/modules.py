@@ -188,7 +188,7 @@ def tensor_product(a: WeightModule, b: WeightModule) -> WeightModule:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)  # a sweep finishes each (m, n) pair before the next
 def tensor_of_irreducibles(m: int, n: int) -> WeightModule:
     """V_m⊗V_n with left basis symbol e and right basis symbol ẽ."""
     return tensor_product(irreducible(m, "e"), irreducible(n, "ẽ"))

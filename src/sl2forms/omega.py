@@ -133,7 +133,9 @@ def y_kernel_singular(m: int, n: int, k: int) -> ModuleVector:
     return ModuleVector(module, tuple(coords))
 
 
-@lru_cache(maxsize=None)
+# Holds every k of a pair with min(m, n) < 32, so the ω brute route reuses
+# the vectors that the x-power check of the same pair has just computed.
+@lru_cache(maxsize=32)
 def x_power_b_brute(m: int, n: int, k: int) -> ModuleVector:
     """X^{s_k} b by s_k-fold application of the tensor module's X matrix."""
     _check_k(m, n, k)

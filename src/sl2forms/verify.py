@@ -2,9 +2,11 @@
 parameter grid and reported uniformly.
 
 Each suite returns a `SuiteResult` with an exact check count and the list
-of failing cases (expected empty).  Sweeps over (m, n) pairs can run in
-worker processes; aggregation follows input order, so the result is
-independent of the worker count.
+of failing cases (expected empty).  The suites stated for one tensor module
+run as one stream: a task per (m, n) pair builds V_m⊗V_n once and runs them
+on it in order, so memory does not grow with the number of pairs.  Tasks can
+run in worker processes; aggregation follows input order, so the result is
+independent of the worker count.  A case that raises is one failure.
 """
 
 from __future__ import annotations
@@ -48,27 +50,127 @@ class SuiteResult:
         return not self.failures
 
 
-def _grid(bound: int) -> list[tuple[int, int]]:
-    return [(m, n) for m in range(bound + 1) for n in range(bound + 1)]
+def _relation_failures(report) -> list[str]:
+    return [] if report.ok else [f"{report.label}: {', '.join(report.failures)}"]
 
 
-def _collect(name, t0, results) -> SuiteResult:
-    checks = sum(c for c, _ in results)
-    failures = [f for _, fs in results for f in fs]
-    return SuiteResult(
-        name=name,
-        checks=checks,
-        failures=tuple(failures),
-        seconds=time.perf_counter() - t0,
-    )
+def _relations_pair(m: int, n: int, q: Fraction, r: Fraction) -> list[str]:
+    return _relation_failures(check_relations(tensor_of_irreducibles(m, n)))
 
 
-def _relations_pair(pair: tuple[int, int]) -> tuple[int, list[str]]:
-    m, n = pair
-    report = check_relations(tensor_of_irreducibles(m, n))
+def _star_pair(m: int, n: int, q: Fraction, r: Fraction) -> list[str]:
+    module = tensor_of_irreducibles(m, n)
+    form = tensor_form(canonical_form(m, q), canonical_form(n, r), module)
+    report = is_star_form(module, form)
     if report.ok:
-        return 1, []
-    return 1, [f"{report.label}: {', '.join(report.failures)}"]
+        return []
+    problems = list(report.failures) + ([] if report.nondegenerate else ["degenerate"])
+    return [f"{report.label} q={q} r={r}: " + ", ".join(problems)]
+
+
+def _decompose_pair(m: int, n: int, q: Fraction, r: Fraction) -> list[str]:
+    expected = tuple((j, 1) for j in range(abs(m - n), m + n + 1, 2))
+    got = decompose(tensor_of_irreducibles(m, n)).summands
+    return [] if got == expected else [f"V_{m}⊗V_{n}: got {got}, expected {expected}"]
+
+
+def _singular_pair(m: int, n: int, q: Fraction, r: Fraction) -> list[str]:
+    failures = []
+    for k in range(min(m, n) + 1):
+        try:
+            b = b_closed_form(m, n, k)
+            if not y_annihilates(b):
+                failures.append(f"(m={m},n={n},k={k}): Y·b != 0")
+            elif y_kernel_singular(m, n, k) != b:
+                failures.append(f"(m={m},n={n},k={k}): null-space route disagrees")
+        except (InconsistencyError, ValueError) as exc:
+            failures.append(f"(m={m},n={n},k={k}): {exc}")
+    return failures
+
+
+def _x_power_pair(m: int, n: int, q: Fraction, r: Fraction) -> list[str]:
+    failures = []
+    for k in range(min(m, n) + 1):
+        try:
+            if x_power_b_brute(m, n, k) != x_power_b_closed(m, n, k):
+                failures.append(f"(m={m},n={n},k={k}): X^s b routes disagree")
+        except (InconsistencyError, ValueError) as exc:
+            failures.append(f"(m={m},n={n},k={k}): {exc}")
+    return failures
+
+
+def _omega_pair(m: int, n: int, q: Fraction, r: Fraction) -> list[str]:
+    report = check_sign_alternation(m, n, q, r)
+    if report.ok:
+        return []
+    signs = tuple(row.sign for row in report.table.rows)
+    return [f"V_{m}⊗V_{n} q={q} r={r}: signs {signs}"]
+
+
+# The per-pair suites in stream order.  x-power runs before omega-signs,
+# so the ω brute route finds every X^{s_k}b of the pair in the cache.
+_PAIR_STEPS = {
+    "relations": _relations_pair,
+    "star-forms": _star_pair,
+    "decomposition": _decompose_pair,
+    "singular-vectors": _singular_pair,
+    "x-power": _x_power_pair,
+    "omega-signs": _omega_pair,
+}
+_PER_K = ("singular-vectors", "x-power", "omega-signs")
+
+
+def _pair(pair, q, r, names) -> list[tuple[int, list[str], float]]:
+    """(checks, failures, seconds) of each named suite on V_m⊗V_n."""
+    m, n = pair
+    out = []
+    for name in names:
+        t0 = time.perf_counter()
+        try:
+            failures = _PAIR_STEPS[name](m, n, q, r)
+        except (InconsistencyError, ValueError) as exc:
+            # a bad case is one failure; it must not abort the stream
+            failures = [f"V_{m}⊗V_{n}: {exc}"]
+        checks = min(m, n) + 1 if name in _PER_K else 1
+        out.append((checks, failures, time.perf_counter() - t0))
+    return out
+
+
+def _irreducible_checks(name, bound, q, r, corrupt) -> tuple[int, list[str]]:
+    """The checks of a suite that run on the irreducibles V_m alone."""
+    failures = []
+    if name == "relations":
+        modules = [irreducible(m) for m in range(bound + 1)]
+        if corrupt:
+            modules.append(perturbed(irreducible(bound), "X", 0, 0, 1))
+        for module in modules:
+            failures += _relation_failures(check_relations(module))
+        return len(modules), failures
+    if name == "star-forms":
+        for m in range(bound + 1):
+            for c in (q, r):
+                report = is_star_form(irreducible(m), canonical_form(m, c))
+                if not report.ok:
+                    failures.append(f"{report.label} q={c}: " + ", ".join(report.failures))
+        return 2 * (bound + 1), failures
+    return 0, []
+
+
+def _sweep(bound, names, q=1, r=1, jobs=1, corrupt=False) -> list[SuiteResult]:
+    """The named suites: checks on each V_m in this process, then one task
+    per (m, n) pair with m, n ≤ bound.  Under jobs > 1 a suite's seconds
+    are worker time summed over the pairs."""
+    q, r = Fraction(q), Fraction(r)
+    totals = {}
+    for name in names:
+        t0 = time.perf_counter()
+        checks, failures = _irreducible_checks(name, bound, q, r, corrupt)
+        totals[name] = [checks, failures, time.perf_counter() - t0]
+    grid = [(m, n) for m in range(bound + 1) for n in range(bound + 1)]
+    for results in parallel_map(partial(_pair, q=q, r=r, names=names), grid, jobs):
+        for total, result in zip(totals.values(), results):
+            total[:] = [a + b for a, b in zip(total, result)]
+    return [SuiteResult(name, c, tuple(f), s) for name, (c, f, s) in totals.items()]
 
 
 def sweep_relations(bound: int, jobs: int = 1, corrupt: bool = False) -> SuiteResult:
@@ -77,112 +179,29 @@ def sweep_relations(bound: int, jobs: int = 1, corrupt: bool = False) -> SuiteRe
     With corrupt=True one deliberately damaged module is injected so the
     suite demonstrably can fail.
     """
-    t0 = time.perf_counter()
-    results = []
-    for m in range(bound + 1):
-        report = check_relations(irreducible(m))
-        results.append(
-            (1, [] if report.ok else [f"{report.label}: {', '.join(report.failures)}"])
-        )
-    if corrupt:
-        bad = perturbed(irreducible(bound), "X", 0, 0, 1)
-        report = check_relations(bad)
-        results.append(
-            (1, [] if report.ok else [f"{report.label}: {', '.join(report.failures)}"])
-        )
-    results += parallel_map(_relations_pair, _grid(bound), jobs)
-    return _collect("relations", t0, results)
-
-
-def _star_pair(pair: tuple[int, int], q: Fraction, r: Fraction) -> tuple[int, list[str]]:
-    m, n = pair
-    module = tensor_of_irreducibles(m, n)
-    form = tensor_form(canonical_form(m, q), canonical_form(n, r), module)
-    report = is_star_form(module, form)
-    if report.ok:
-        return 1, []
-    problems = list(report.failures) + ([] if report.nondegenerate else ["degenerate"])
-    return 1, [f"{report.label} q={q} r={r}: " + ", ".join(problems)]
+    return _sweep(bound, ("relations",), jobs=jobs, corrupt=corrupt)[0]
 
 
 def sweep_star_forms(
     bound: int, q: Scalar = 1, r: Scalar = 1, jobs: int = 1
 ) -> SuiteResult:
     """Anti-involution compatibility of canonical forms and their tensor forms."""
-    t0 = time.perf_counter()
-    q, r = Fraction(q), Fraction(r)
-    results = []
-    for m in range(bound + 1):
-        for c in (q, r):
-            report = is_star_form(irreducible(m), canonical_form(m, c))
-            results.append(
-                (1, [] if report.ok
-                 else [f"{report.label} q={c}: " + ", ".join(report.failures)])
-            )
-    results += parallel_map(partial(_star_pair, q=q, r=r), _grid(bound), jobs)
-    return _collect("star-forms", t0, results)
-
-
-def _decompose_pair(pair: tuple[int, int]) -> tuple[int, list[str]]:
-    m, n = pair
-    expected = tuple((j, 1) for j in range(abs(m - n), m + n + 1, 2))
-    try:
-        got = decompose(tensor_of_irreducibles(m, n)).summands
-    except ValueError as exc:
-        return 1, [f"V_{m}⊗V_{n}: {exc}"]
-    if got != expected:
-        return 1, [f"V_{m}⊗V_{n}: got {got}, expected {expected}"]
-    return 1, []
+    return _sweep(bound, ("star-forms",), q, r, jobs)[0]
 
 
 def sweep_decomposition(bound: int, jobs: int = 1) -> SuiteResult:
     """V_m⊗V_n decomposes as one copy each of V_|m-n|, V_|m-n|+2, ..., V_{m+n}."""
-    t0 = time.perf_counter()
-    results = parallel_map(_decompose_pair, _grid(bound), jobs)
-    return _collect("decomposition", t0, results)
-
-
-def _singular_pair(pair: tuple[int, int]) -> tuple[int, list[str]]:
-    m, n = pair
-    checks, failures = 0, []
-    for k in range(min(m, n) + 1):
-        checks += 1
-        try:
-            b = b_closed_form(m, n, k)
-            if not y_annihilates(b):
-                failures.append(f"(m={m},n={n},k={k}): Y·b != 0")
-                continue
-            kernel = y_kernel_singular(m, n, k)
-        except (InconsistencyError, ValueError) as exc:
-            failures.append(f"(m={m},n={n},k={k}): {exc}")
-            continue
-        if kernel != b:
-            failures.append(f"(m={m},n={n},k={k}): null-space route disagrees")
-    return checks, failures
+    return _sweep(bound, ("decomposition",), jobs=jobs)[0]
 
 
 def sweep_singular_vectors(bound: int, jobs: int = 1) -> SuiteResult:
     """Closed-form singular vectors match the exact Y-null-space route."""
-    t0 = time.perf_counter()
-    results = parallel_map(_singular_pair, _grid(bound), jobs)
-    return _collect("singular-vectors", t0, results)
-
-
-def _x_power_pair(pair: tuple[int, int]) -> tuple[int, list[str]]:
-    m, n = pair
-    checks, failures = 0, []
-    for k in range(min(m, n) + 1):
-        checks += 1
-        if x_power_b_brute(m, n, k) != x_power_b_closed(m, n, k):
-            failures.append(f"(m={m},n={n},k={k}): X^s b routes disagree")
-    return checks, failures
+    return _sweep(bound, ("singular-vectors",), jobs=jobs)[0]
 
 
 def sweep_x_power(bound: int, jobs: int = 1) -> SuiteResult:
     """Matrix powering of X on b agrees with the factorial closed form."""
-    t0 = time.perf_counter()
-    results = parallel_map(_x_power_pair, _grid(bound), jobs)
-    return _collect("x-power", t0, results)
+    return _sweep(bound, ("x-power",), jobs=jobs)[0]
 
 
 def sweep_karlsson_minton(bound: int) -> SuiteResult:
@@ -203,28 +222,18 @@ def sweep_series_route(bound: int) -> SuiteResult:
     return SuiteResult("3f2-route", report.tuples, failures, time.perf_counter() - t0)
 
 
-def _omega_pair(pair: tuple[int, int], q: Fraction, r: Fraction) -> tuple[int, list[str]]:
-    m, n = pair
-    checks = min(m, n) + 1
-    try:
-        report = check_sign_alternation(m, n, q, r)
-    except (InconsistencyError, ValueError) as exc:
-        # a bad case is one failure; it must not abort the sweep
-        return checks, [f"V_{m}⊗V_{n}: {exc}"]
-    if report.ok:
-        return checks, []
-    signs = tuple(row.sign for row in report.table.rows)
-    return checks, [f"V_{m}⊗V_{n} q={q} r={r}: signs {signs}"]
-
-
 def sweep_omega_signs(
     bound: int, q: Scalar = 1, r: Scalar = 1, jobs: int = 1
 ) -> SuiteResult:
     """Both ω routes agree and signs alternate as (-1)^k·sign(qr)."""
-    t0 = time.perf_counter()
-    q, r = Fraction(q), Fraction(r)
-    results = parallel_map(partial(_omega_pair, q=q, r=r), _grid(bound), jobs)
-    return _collect("omega-signs", t0, results)
+    return _sweep(bound, ("omega-signs",), q, r, jobs)[0]
+
+
+def verify_star(
+    bound: int, q: Scalar = 1, r: Scalar = 1, jobs: int = 1
+) -> list[SuiteResult]:
+    """The relations and star-forms suites, in one stream over the grid."""
+    return _sweep(bound, ("relations", "star-forms"), q, r, jobs)
 
 
 def verify_all(
@@ -240,13 +249,5 @@ def verify_all(
     """
     if bound < 0:
         raise ValueError(f"bound must be nonnegative (got {bound})")
-    return [
-        sweep_relations(bound, jobs=jobs, corrupt=corrupt),
-        sweep_star_forms(bound, q, r, jobs=jobs),
-        sweep_decomposition(bound, jobs=jobs),
-        sweep_singular_vectors(bound, jobs=jobs),
-        sweep_x_power(bound, jobs=jobs),
-        sweep_karlsson_minton(bound),
-        sweep_series_route(bound),
-        sweep_omega_signs(bound, q, r, jobs=jobs),
-    ]
+    *per_module, omega = _sweep(bound, tuple(_PAIR_STEPS), q, r, jobs, corrupt)
+    return [*per_module, sweep_karlsson_minton(bound), sweep_series_route(bound), omega]

@@ -1,12 +1,13 @@
-"""Verification suites: clean runs, the corruption hook, and determinism
-under different worker counts."""
+"""Verification suites: clean runs, the corruption hook, one bad case per
+suite, the per-pair stream, and determinism under different worker counts."""
 
 from fractions import Fraction
 
 import pytest
 
-from sl2forms import omega, parallel, verify
+from sl2forms import cli, modules, omega, parallel, verify
 from sl2forms.modules import ModuleVector
+from sl2forms.omega import InconsistencyError
 from sl2forms.verify import (
     SuiteResult,
     sweep_decomposition,
@@ -66,7 +67,10 @@ class TestSuites:
         def suite_ran(*args, **kwargs):
             raise AssertionError("a suite ran")
 
-        monkeypatch.setattr(verify, "sweep_relations", suite_ran)
+        # the stream over the grid runs first; with bound -1 its pair tasks
+        # would never be called, so patching them alone would prove nothing
+        for name in ("_sweep", "_pair", "sweep_karlsson_minton", "sweep_series_route"):
+            monkeypatch.setattr(verify, name, suite_ran)
         with pytest.raises(ValueError, match="nonnegative"):
             verify_all(-1)
 
@@ -126,11 +130,96 @@ class TestOneBadCase:
         assert damaged.failures == ("(m=2,n=1,k=1): damaged",)
         assert damaged.checks == clean.checks
 
+    @pytest.mark.parametrize(
+        "suite, target, is_bad, error, failure",
+        [
+            ("relations", "check_relations",
+             lambda module: module.label == "V_2⊗V_1", ValueError, "V_2⊗V_1: damaged"),
+            ("star-forms", "is_star_form",
+             lambda module, form: module.label == "V_2⊗V_1", InconsistencyError,
+             "V_2⊗V_1: damaged"),
+            ("x-power", "x_power_b_closed",
+             lambda m, n, k: (m, n, k) == (2, 1, 1), ValueError, "(m=2,n=1,k=1): damaged"),
+        ],
+        ids=["relations", "star-forms", "x-power"],
+    )
+    def test_raise_at_one_pair_is_one_failure(
+        self, monkeypatch, suite, target, is_bad, error, failure
+    ):
+        """In the fused stream the pair's other suites still run and pass."""
+        original = getattr(verify, target)
+
+        def broken(*args):
+            if is_bad(*args):
+                raise error("damaged")
+            return original(*args)
+
+        clean = verify_all(3, jobs=1)
+        monkeypatch.setattr(verify, target, broken)
+        damaged = verify_all(3, jobs=1)
+        assert [(s.name, s.checks) for s in damaged] == [(s.name, s.checks) for s in clean]
+        assert {s.name: s.failures for s in damaged if s.failures} == {suite: (failure,)}
+
+
+def cold_caches():
+    modules.tensor_of_irreducibles.cache_clear()
+    omega.x_power_b_brute.cache_clear()
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestStream:
+    """One pool call over the grid, one module build per pair, and bounded
+    caches that still compute each X^{s_k}b once."""
+
+    def test_verify_all_builds_each_module_once(self, monkeypatch):
+        maps = count_calls(monkeypatch, verify, "parallel_map")
+        cold_caches()
+        verify_all(4, jobs=1)
+        info = modules.tensor_of_irreducibles.cache_info()
+        assert info.misses == 25
+        assert info.currsize <= 1
+        assert len(maps) == 1
+
+    def test_x_power_computed_once_per_triple(self, monkeypatch):
+        powers = count_calls(monkeypatch, omega, "apply_power")
+        cold_caches()
+        suites = verify_all(6, jobs=1)
+        triples = sum(min(m, n) + 1 for m in range(7) for n in range(7))
+        # every triple is computed at least once, since x-power checks it
+        assert {s.name: s.checks for s in suites}["x-power"] == triples
+        assert len(powers) == triples
+        info = omega.x_power_b_brute.cache_info()
+        assert info.hits == triples   # the ω brute route reads each vector
+        assert info.currsize < triples
+
+    def test_verify_star_builds_each_module_once(self, monkeypatch, capsys):
+        maps = count_calls(monkeypatch, verify, "parallel_map")
+        cold_caches()
+        assert cli.main(["verify-star", "--max", "3", "--jobs", "1"]) == 0
+        info = modules.tensor_of_irreducibles.cache_info()
+        assert info.misses == 16
+        assert info.currsize <= 1
+        assert len(maps) == 1
+        assert "star-forms: PASS (24 checks)" in capsys.readouterr().out
+
 
 class TestDeterminismAndParallelism:
     def test_worker_count_does_not_change_results(self):
-        serial = verify_all(2, jobs=1)
-        parallel = verify_all(2, jobs=2)
+        q, r = Fraction(1, 2), Fraction(-3)
+        serial = verify_all(3, q, r, jobs=1, corrupt=True)
+        parallel = verify_all(3, q, r, jobs=2, corrupt=True)
+        assert not serial[0].ok   # the comparison covers a failure
         assert strip_timing(serial) == strip_timing(parallel)
 
     def test_parallel_star_sweep_matches_serial(self):
