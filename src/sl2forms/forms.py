@@ -27,10 +27,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
-from .linalg import ExactMatrix, dot, kron, mat_vec, primitive_integer, rank
-from .modules import ModuleVector, WeightModule, irreducible
+from .linalg import (
+    ExactMatrix,
+    dot,
+    kron,
+    mat_vec,
+    primitive_integer,
+    product_identity_holds,
+    rank,
+    zeros,
+)
+from .modules import ModuleVector, WeightModule, irreducible, tensor_of_irreducibles
 from .rationals import Scalar
 
 
@@ -84,22 +94,25 @@ def is_star_form(module: WeightModule, form: BilinearForm) -> StarFormReport:
     """Check the three compatibility identities and nondegeneracy, exactly.
 
     In Gram-matrix terms the identities read Gᵀ·gram = gram·G for G = actX,
-    actY and Gᵀ·gram = -gram·G for actH.  They are compared as full matrix
-    products on the primitive integer multiple of the Gram matrix, and rank
-    is taken of that multiple too: both sides of each identity scale by the
-    same positive factor, and a nonzero scale keeps the rank.
+    actY and Gᵀ·gram = -gram·G for actH.  Each is compared in every entry,
+    row by row (`linalg.product_identity_holds`), on the primitive integer
+    multiple of the Gram matrix, and rank is taken of that multiple too:
+    both sides of each identity scale by the same positive factor, and a
+    nonzero scale keeps the rank.
     """
     if form.module is not module and form.module != module:
         raise ValueError(
             f"form lives on {form.module.label}, not {module.label}"
         )
     gram = primitive_integer(form.gram)
+    zero = zeros(gram.rows, gram.cols)
+    x, y, h = module.actX, module.actY, module.actH
     failures = []
-    if module.actX.transpose @ gram != gram @ module.actX:
+    if not product_identity_holds(x.transpose, gram, gram, x, zero):
         failures.append("Q(Xu,v)=Q(u,Xv)")
-    if module.actY.transpose @ gram != gram @ module.actY:
+    if not product_identity_holds(y.transpose, gram, gram, y, zero):
         failures.append("Q(Yu,v)=Q(u,Yv)")
-    if module.actH.transpose @ gram != (gram @ module.actH).scaled(-1):
+    if not product_identity_holds(h.transpose, gram, gram, h, zero, s=-1):
         failures.append("Q(Hu,v)=-Q(u,Hv)")
     nondegenerate = rank(gram) == module.dim
     return StarFormReport(
@@ -146,6 +159,18 @@ def tensor_form(
             f"tensor basis of {a.label}⊗{b.label}"
         )
     return BilinearForm(module, kron(left.gram, right.gram))
+
+
+@lru_cache(maxsize=1)  # a sweep finishes each (m, n) pair before the next
+def tensor_of_canonical_forms(m: int, n: int, q: Scalar, r: Scalar) -> BilinearForm:
+    """Q⊗R on V_m⊗V_n for the canonical forms with constants q and r.
+
+    Built once per pair: the star-form check and the ω brute route of the
+    same pair read the same form.
+    """
+    return tensor_form(
+        canonical_form(m, q), canonical_form(n, r), tensor_of_irreducibles(m, n)
+    )
 
 
 def evaluate(form: BilinearForm, u: ModuleVector, v: ModuleVector) -> Fraction:

@@ -12,6 +12,11 @@ rows directly.  `ExactMatrix.entries` is a dense view rebuilt on demand.
 `primitive_integer` scales a matrix to coprime integers, for checks that
 are unchanged by a positive scale and cheaper without `Fraction`s.
 
+`product_identity_holds` checks an identity a@b - s·(c@d) = e in full, one
+row at a time: both products of a row and the row of e go into one
+accumulator, which must come out zero.  No product matrix is built and no
+row is sorted, so the check costs the products' multiplications only.
+
 The elimination engine is fraction-free (Bareiss) on sparse integer rows:
 zero rows are dropped, every other row is scaled to coprime integers and
 held as a map from column to nonzero value, then eliminated with the
@@ -19,8 +24,10 @@ two-term determinant update divided exactly by the previous pivot, so
 intermediate entries stay minor-sized instead of growing the way naive
 fractional elimination lets them.  The Bareiss rescale of rows that are
 not eliminated at a pivot is applied lazily, when the row is next read,
-so a signed permutation (a tensor Gram matrix) costs a scan per pivot and
-no arithmetic on the rows it does not touch.
+and a column index (column -> the unpivoted rows with an entry there)
+finds the pivot and the rows to eliminate without a scan, so a signed
+permutation (a tensor Gram matrix) costs constant work per pivot and no
+arithmetic on the rows it does not touch.
 """
 
 from __future__ import annotations
@@ -188,8 +195,64 @@ def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return ExactMatrix._stored(a.rows * b.rows, a.cols * b_cols, tuple(out))
 
 
-def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return a @ b - b @ a
+def kron_sum(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """a⊗I + I⊗b for square a and b, built row by row without either
+    Kronecker product: row (i, j) is a's row i at columns k·dim_b + j plus
+    b's row j at columns i·dim_b + l, which meet only on the diagonal."""
+    if a.rows != a.cols or b.rows != b.cols:
+        raise ValueError(
+            f"kron_sum of {a.rows}x{a.cols} and {b.rows}x{b.cols}: both must be square"
+        )
+    d = b.rows
+    out = []
+    for i, arow in enumerate(a.nonzero_rows):
+        base = i * d
+        for j, brow in enumerate(b.nonzero_rows):
+            acc = {k * d + j: x for k, x in arow}
+            for l, y in brow:
+                acc[base + l] = acc.get(base + l, 0) + y
+            out.append(_canonical(acc))
+    return ExactMatrix._stored(a.rows * d, a.rows * d, tuple(out))
+
+
+def product_identity_holds(
+    a: ExactMatrix,
+    b: ExactMatrix,
+    c: ExactMatrix,
+    d: ExactMatrix,
+    e: ExactMatrix,
+    s: Scalar = 1,
+) -> bool:
+    """Whether a@b - s·(c@d) == e, compared in every entry.
+
+    Each row of both products is added, and the row of e subtracted, in one
+    accumulator, which must hold only zeros; no product matrix is built.
+    Shapes that `@` or `-` would reject raise ValueError.
+    """
+    for left, right in ((a, b), (c, d)):
+        if left.cols != right.rows:
+            raise ValueError(
+                f"cannot multiply {left.rows}x{left.cols} by {right.rows}x{right.cols}"
+            )
+    shapes = {(a.rows, b.cols), (c.rows, d.cols), (e.rows, e.cols)}
+    if len(shapes) != 1:
+        raise ValueError(f"shape mismatch: {' vs '.join(map(str, sorted(shapes)))}")
+    b_nz, d_nz = b.nonzero_rows, d.nonzero_rows
+    for arow, crow, erow in zip(a.nonzero_rows, c.nonzero_rows, e.nonzero_rows):
+        acc: dict[int, Scalar] = {}
+        get = acc.get
+        for k, x in arow:
+            for j, y in b_nz[k]:
+                acc[j] = get(j, 0) + x * y
+        for k, x in crow:
+            x = s * x
+            for j, y in d_nz[k]:
+                acc[j] = get(j, 0) - x * y
+        for j, v in erow:
+            acc[j] = get(j, 0) - v
+        if any(acc.values()):
+            return False
+    return True
 
 
 def mat_vec(a: ExactMatrix, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
@@ -302,6 +365,12 @@ def _bareiss_echelon(a: ExactMatrix) -> tuple[list[dict[int, int]], list[int]]:
     divided exactly by the previous pivot, over the union of the two
     supports.
 
+    The rows with an entry at c are read from a column index, kept up to
+    date as rows are eliminated, instead of scanning every remaining row.
+    "First" is by current position: rows are never moved, but `position`
+    records the order that the swaps of the eager algorithm would leave,
+    and the pivot is the candidate at the least position.
+
     Bareiss also multiplies every row with a zero in the pivot column by
     piv/prev.  That rescale is lazy here: each row keeps a stamp, the
     previous pivot at its last update.  The rescales it skipped telescope
@@ -312,32 +381,48 @@ def _bareiss_echelon(a: ExactMatrix) -> tuple[list[dict[int, int]], list[int]]:
     """
     work = [_coprime_integer_row(row) for row in a.nonzero_rows if row]
     stamps = [1] * len(work)
+    position = list(range(len(work)))  # row id -> place in the eager order
+    at = list(range(len(work)))  # place -> row id
+    index: dict[int, set[int]] = {}
+    for i, row in enumerate(work):
+        for j in row:
+            index.setdefault(j, set()).add(i)
+    pivot_rows: list[dict[int, int]] = []
     pivot_cols: list[int] = []
     prev = 1
     for c in range(a.cols):
-        r = len(pivot_cols)
-        if r == len(work):
-            break
-        p = next((i for i in range(r, len(work)) if c in work[i]), None)
-        if p is None:
+        rows_at_c = index.pop(c, None)
+        if not rows_at_c:
             continue
-        work[r], work[p] = work[p], work[r]
-        stamps[r], stamps[p] = stamps[p], stamps[r]
-        piv_row = work[r] = _caught_up(work[r], stamps[r], prev)
+        r = len(pivot_cols)
+        p = min(rows_at_c, key=position.__getitem__)
+        rows_at_c.discard(p)
+        q = at[r]  # the row at place r moves to the pivot's place
+        position[q], at[position[p]] = position[p], q
+        position[p], at[r] = r, p
+        piv_row = _caught_up(work[p], stamps[p], prev)
+        for j in piv_row:
+            if j != c:
+                index[j].discard(p)
         piv = piv_row[c]
-        for i in range(r + 1, len(work)):
-            if c not in work[i]:
-                continue
+        for i in rows_at_c:
             row = _caught_up(work[i], stamps[i], prev)
             f = row[c]
             acc = {j: piv * v for j, v in row.items()}
             for j, v in piv_row.items():
                 acc[j] = acc.get(j, 0) - f * v
-            work[i] = {j: x // prev for j, x in acc.items() if x}
+            new = work[i] = {j: x // prev for j, x in acc.items() if x}
             stamps[i] = piv
+            for j in row:
+                if j != c and j not in new:
+                    index[j].discard(i)
+            for j in new:
+                if j not in row:
+                    index.setdefault(j, set()).add(i)
+        pivot_rows.append(piv_row)
         pivot_cols.append(c)
         prev = piv
-    return work[: len(pivot_cols)], pivot_cols
+    return pivot_rows, pivot_cols
 
 
 def rank(a: ExactMatrix) -> int:

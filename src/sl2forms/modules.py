@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
 
-from .linalg import ExactMatrix, commutator, identity, kron, mat_vec
+from .linalg import ExactMatrix, kron_sum, mat_vec, product_identity_holds
 from .rationals import Scalar
 
 GENERATORS = ("X", "Y", "H")
@@ -148,13 +148,15 @@ def irreducible(m: int, symbol: str = "e") -> WeightModule:
 
 
 def check_relations(module: WeightModule) -> RelationReport:
-    """Verify [X,Y] = H, [H,X] = 2X, [H,Y] = -2Y as exact matrix identities."""
+    """Verify [X,Y] = H, [H,X] = 2X, [H,Y] = -2Y as exact matrix identities,
+    each compared in every entry by `linalg.product_identity_holds`."""
+    x, y, h = module.actX, module.actY, module.actH
     failures = []
-    if commutator(module.actX, module.actY) != module.actH:
+    if not product_identity_holds(x, y, y, x, h):
         failures.append("[X,Y]=H")
-    if commutator(module.actH, module.actX) != module.actX.scaled(2):
+    if not product_identity_holds(h, x, x, h, x.scaled(2)):
         failures.append("[H,X]=2X")
-    if commutator(module.actH, module.actY) != module.actY.scaled(-2):
+    if not product_identity_holds(h, y, y, h, y.scaled(-2)):
         failures.append("[H,Y]=-2Y")
     return RelationReport(label=module.label, failures=tuple(failures))
 
@@ -169,22 +171,23 @@ def act(module: WeightModule, g: str, v: ModuleVector) -> ModuleVector:
 
 
 def tensor_product(a: WeightModule, b: WeightModule) -> WeightModule:
-    """A⊗B with the Leibniz action, basis lexicographic (left factor outer)."""
+    """A⊗B with the Leibniz action, basis lexicographic (left factor outer).
+
+    Each generator acts as ga⊗I + I⊗gb, built directly row by row
+    (`linalg.kron_sum`): row (i, j) holds A's row i at columns k·dim_b + j
+    and B's row j at columns i·dim_b + l.
+    """
     dim = a.dim * b.dim
     weights = tuple(wa + wb for wa in a.weights for wb in b.weights)
     names = tuple(f"{na}⊗{nb}" for na in a.basis_names for nb in b.basis_names)
-
-    def leibniz(ga: ExactMatrix, gb: ExactMatrix) -> ExactMatrix:
-        return kron(ga, identity(b.dim)) + kron(identity(a.dim), gb)
-
     return WeightModule(
         label=f"{a.label}⊗{b.label}",
         dim=dim,
         weights=weights,
         basis_names=names,
-        actX=leibniz(a.actX, b.actX),
-        actY=leibniz(a.actY, b.actY),
-        actH=leibniz(a.actH, b.actH),
+        actX=kron_sum(a.actX, b.actX),
+        actY=kron_sum(a.actY, b.actY),
+        actH=kron_sum(a.actH, b.actH),
     )
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .forms import canonical_form, evaluate, tensor_form
+from .forms import evaluate, tensor_of_canonical_forms
 from .linalg import ExactMatrix, apply_power, null_space
 from .modules import (
     ModuleVector,
@@ -173,8 +173,7 @@ def x_power_b_closed(m: int, n: int, k: int) -> ModuleVector:
 def omega_value(m: int, n: int, k: int, q: Scalar, r: Scalar) -> Fraction:
     """ω_k(b, b) by the brute route: Gram evaluation against X^{s_k}b."""
     _check_k(m, n, k)
-    module = tensor_of_irreducibles(m, n)
-    qr_form = tensor_form(canonical_form(m, q), canonical_form(n, r), module)
+    qr_form = tensor_of_canonical_forms(m, n, q, r)
     return evaluate(qr_form, b_closed_form(m, n, k), x_power_b_brute(m, n, k))
 
 
@@ -194,11 +193,9 @@ def omega_table(m: int, n: int, q: Scalar, r: Scalar) -> OmegaReport:
     """Rows k = 0..min(m,n), each computed by both routes and compared."""
     if m < 0 or n < 0:
         raise ValueError(f"module labels must be nonnegative (got m={m}, n={n})")
-    module = tensor_of_irreducibles(m, n)
-    qr_form = tensor_form(canonical_form(m, q), canonical_form(n, r), module)
     rows = []
     for k in range(min(m, n) + 1):
-        brute = evaluate(qr_form, b_closed_form(m, n, k), x_power_b_brute(m, n, k))
+        brute = omega_value(m, n, k, q, r)
         closed = omega_closed(m, n, k, q, r)
         if brute != closed:
             raise InconsistencyError(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .forms import canonical_form, is_star_form, tensor_form
+from .forms import canonical_form, is_star_form, tensor_of_canonical_forms
 from .hypergeom import km_range_verify, series_route_verify
 from .modules import (
     check_relations,
@@ -60,8 +60,7 @@ def _relations_pair(m: int, n: int, q: Fraction, r: Fraction) -> list[str]:
 
 def _star_pair(m: int, n: int, q: Fraction, r: Fraction) -> list[str]:
     module = tensor_of_irreducibles(m, n)
-    form = tensor_form(canonical_form(m, q), canonical_form(n, r), module)
-    report = is_star_form(module, form)
+    report = is_star_form(module, tensor_of_canonical_forms(m, n, q, r))
     if report.ok:
         return []
     problems = list(report.failures) + ([] if report.nondegenerate else ["degenerate"])
@@ -107,8 +106,9 @@ def _omega_pair(m: int, n: int, q: Fraction, r: Fraction) -> list[str]:
     return [f"V_{m}⊗V_{n} q={q} r={r}: signs {signs}"]
 
 
-# The per-pair suites in stream order.  x-power runs before omega-signs,
-# so the ω brute route finds every X^{s_k}b of the pair in the cache.
+# The per-pair suites in stream order.  star-forms and x-power run before
+# omega-signs, so the ω brute route finds the pair's Q⊗R and every X^{s_k}b
+# in their caches.
 _PAIR_STEPS = {
     "relations": _relations_pair,
     "star-forms": _star_pair,

@@ -253,6 +253,26 @@ class TestLargeTensorForm:
         assert "Q(Hu,v)=-Q(u,Hv)" in report.failures
 
 
+class TestGramCorruption:
+    @pytest.mark.parametrize("m, n", [(2, 1), (3, 2)])
+    def test_off_pairing_bump_fails_the_h_identity(self, m, n):
+        """A symmetric pair of Gram entries bumped off the (w, -w) weight
+        pairing fails the H identity, and exactly the identities that the
+        product matrices fail."""
+        t = tensor_of_irreducibles(m, n)
+        form = tensor_form(
+            canonical_form(m, Fraction(3)), canonical_form(n, Fraction(-2, 5)), t
+        )
+        w = t.weights
+        pairs = [(i, j) for i in range(t.dim) for j in range(i, t.dim) if w[i] + w[j]]
+        assert pairs
+        for i, j in pairs:
+            gram = gram_with(form.gram, {(i, j): 1, (j, i): 1})
+            report = is_star_form(t, BilinearForm(t, gram))
+            assert "Q(Hu,v)=-Q(u,Hv)" in report.failures
+            assert report.failures == fraction_star_check(t, gram)[0]
+
+
 class TestTensorForm:
     def test_extreme_pairings(self):
         t = tensor_of_irreducibles(1, 1)

@@ -16,13 +16,14 @@ from sl2forms.linalg import (
     ExactMatrix,
     _bareiss_echelon,
     apply_power,
-    commutator,
     dot,
     identity,
     kron,
+    kron_sum,
     mat_vec,
     null_space,
     primitive_integer,
+    product_identity_holds,
     rank,
     zeros,
 )
@@ -52,6 +53,55 @@ def sparse_power_cases(max_dim: int = 6):
             st.integers(min_value=0, max_value=5),
         )
     )
+
+
+def square_matrices(max_dim: int = 6):
+    return st.integers(min_value=1, max_value=max_dim).flatmap(
+        lambda d: st.lists(
+            st.lists(sparse_scalars, min_size=d, max_size=d), min_size=d, max_size=d
+        ).map(ExactMatrix.from_rows)
+    )
+
+
+def _sparse_grid(draw, rows: int, cols: int) -> ExactMatrix:
+    return ExactMatrix.from_rows(
+        draw(
+            st.lists(
+                st.lists(sparse_scalars, min_size=cols, max_size=cols),
+                min_size=rows,
+                max_size=rows,
+            )
+        )
+    )
+
+
+@st.composite
+def identity_cases(draw, max_dim: int = 5):
+    """(a, b, c, d, e, s) with a@b and c@d of one shape.  Half the time
+    c, d = a, b, so the products cancel outright at s = 1; e is the true
+    a@b - s·(c@d), that value with one entry bumped, or a free draw."""
+    dim = st.integers(min_value=1, max_value=max_dim)
+    rows, inner, cols = draw(dim), draw(dim), draw(dim)
+    a, b = _sparse_grid(draw, rows, inner), _sparse_grid(draw, inner, cols)
+    if draw(st.booleans()):
+        c, d = a, b
+    else:
+        other = draw(dim)
+        c, d = _sparse_grid(draw, rows, other), _sparse_grid(draw, other, cols)
+    s = draw(st.sampled_from([1, -1, 2, -2]))
+    exact = a @ b - (c @ d).scaled(s)
+    kind = draw(st.sampled_from(["exact", "bumped", "free"]))
+    if kind == "exact":
+        e = exact
+    elif kind == "bumped":
+        grid = [list(row) for row in exact.entries]
+        i = draw(st.integers(min_value=0, max_value=rows - 1))
+        j = draw(st.integers(min_value=0, max_value=cols - 1))
+        grid[i][j] += draw(st.sampled_from([1, -1, Fraction(1, 2)]))
+        e = ExactMatrix.from_rows(grid)
+    else:
+        e = _sparse_grid(draw, rows, cols)
+    return a, b, c, d, e, s
 
 
 def matrices(max_dim: int = 5):
@@ -248,9 +298,16 @@ class TestArithmetic:
     def test_commutator_antisymmetry(self):
         a = ExactMatrix.from_rows([[0, 1], [0, 0]])
         b = ExactMatrix.from_rows([[0, 0], [1, 0]])
-        h = commutator(a, b)
-        assert h.entries == ((1, 0), (0, -1))
-        assert commutator(b, a).entries == ((-1, 0), (0, 1))
+        h = ExactMatrix.from_rows([[1, 0], [0, -1]])
+        assert product_identity_holds(a, b, b, a, h)
+        assert product_identity_holds(b, a, a, b, h.scaled(-1))
+        # a wrong e fails: the other bracket's value, zero, or one entry off
+        assert not product_identity_holds(a, b, b, a, h.scaled(-1))
+        assert not product_identity_holds(b, a, a, b, h)
+        assert not product_identity_holds(a, b, b, a, zeros(2, 2))
+        assert not product_identity_holds(
+            a, b, b, a, ExactMatrix.from_rows([[1, 0], [0, 1]])
+        )
 
     def test_mat_vec_matches_matmul(self):
         a = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
@@ -299,6 +356,56 @@ class TestArithmetic:
         assert k.entries[3] == (18, 21, 24, 28)
 
 
+class TestProductIdentity:
+    """`product_identity_holds` against the product matrices it avoids."""
+
+    @settings(max_examples=200)
+    @given(identity_cases())
+    def test_agrees_with_product_matrices(self, case):
+        a, b, c, d, e, s = case
+        exact = a @ b - (c @ d).scaled(s)
+        assert product_identity_holds(a, b, c, d, e, s) == (exact == e)
+        assert product_identity_holds(a, b, c, d, exact, s)
+
+    def test_shape_mismatch_raises(self):
+        # all zero, so only a shape check can reject them
+        z = zeros
+        cases = [
+            (z(2, 3), z(2, 2), z(2, 2), z(2, 2), z(2, 2)),  # a@b undefined
+            (z(2, 2), z(2, 2), z(2, 3), z(2, 2), z(2, 2)),  # c@d undefined
+            (z(2, 3), z(3, 2), z(3, 3), z(3, 2), z(2, 2)),  # a@b 2x2, c@d 3x2
+            (z(2, 3), z(3, 2), z(2, 2), z(2, 2), z(2, 3)),  # e 2x3
+            (z(2, 3), z(3, 2), z(2, 2), z(2, 2), z(3, 2)),  # e 3x2
+        ]
+        for args in cases:
+            with pytest.raises(ValueError):
+                product_identity_holds(*args)
+
+
+class TestKronSum:
+    @settings(max_examples=80)
+    @given(square_matrices(), square_matrices())
+    def test_matches_two_kron_products(self, a, b):
+        expected = kron(a, identity(b.rows)) + kron(identity(a.rows), b)
+        assert kron_sum(a, b) == expected
+
+    def test_diagonal_entries_add(self):
+        a = ExactMatrix.from_rows([[1, 2], [0, -1]])
+        b = ExactMatrix.from_rows([[-1, 0], [3, 1]])
+        assert kron_sum(a, b).entries == (
+            (0, 0, 2, 0),
+            (3, 2, 0, 2),
+            (0, 0, -2, 0),
+            (0, 0, 3, 0),
+        )
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            kron_sum(zeros(2, 3), identity(2))
+        with pytest.raises(ValueError):
+            kron_sum(identity(2), zeros(1, 2))
+
+
 class TestCanonicalStorage:
     """Only nonzeros are stored, so equal matrices have equal storage;
     an explicitly stored zero would make == and hash disagree."""
@@ -309,7 +416,7 @@ class TestCanonicalStorage:
         assert a - a == zeros(a.rows, a.cols)
         assert hash(a - a) == hash(zeros(a.rows, a.cols))
         if a.rows == a.cols:
-            c = commutator(a, a)
+            c = a @ a - a @ a
             assert c == zeros(a.rows, a.rows)
             assert hash(c) == hash(zeros(a.rows, a.rows))
 
@@ -458,6 +565,12 @@ class TestRankAndKernel:
         )
         assert rank(a) == 3
         assert null_space(a) == [(0, 1, 0, 3)]
+
+    def test_pivot_is_first_in_swapped_order(self):
+        # The swap at column 0 moves row 0 below row 1, so row 1 pivots at
+        # column 1; a search by lowest original index would take row 0.
+        a = ExactMatrix.from_rows([[0, 1], [0, -1], [1, 0]])
+        assert _bareiss_echelon(a) == eager_bareiss(a) == ([{0: 1}, {1: -1}], [0, 1])
 
     @settings(max_examples=40)
     @given(matrices(max_dim=4), matrices(max_dim=4))

@@ -2,12 +2,15 @@
 decomposition.  Frozen examples are hand substitutions into the action
 formulas; sweeps re-derive the Clebsch-Gordan pattern."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2forms.linalg import ExactMatrix
+from sl2forms.linalg import ExactMatrix, identity, kron
 from sl2forms.modules import (
+    GENERATORS,
     ModuleVector,
     act,
     check_relations,
@@ -28,6 +31,30 @@ def basis_vector(module, j):
     coords = [0] * module.dim
     coords[j] = 1
     return ModuleVector(module, tuple(coords))
+
+
+def broken_brackets(module) -> tuple[str, ...]:
+    """The bracket identities that fail, from the product matrices.
+    Oracle only."""
+    x, y, h = module.actX, module.actY, module.actH
+    brackets = (
+        ("[X,Y]=H", x @ y - y @ x, h),
+        ("[H,X]=2X", h @ x - x @ h, x.scaled(2)),
+        ("[H,Y]=-2Y", h @ y - y @ h, y.scaled(-2)),
+    )
+    return tuple(name for name, lhs, rhs in brackets if lhs != rhs)
+
+
+def corrupted(module, data):
+    """The module with one drawn generator entry bumped."""
+    index = st.integers(min_value=0, max_value=module.dim - 1)
+    return perturbed(
+        module,
+        data.draw(st.sampled_from(GENERATORS)),
+        data.draw(index),
+        data.draw(index),
+        data.draw(st.sampled_from([1, -1, Fraction(1, 2)])),
+    )
 
 
 class TestIrreducible:
@@ -103,6 +130,25 @@ class TestRelations:
         bad = perturbed(tensor_of_irreducibles(1, 2), "Y", 2, 0, 1)
         assert not check_relations(bad).ok
 
+    @pytest.mark.parametrize("m, n", [(3, 0), (2, 1), (1, 2)])
+    def test_each_bump_fails_exactly_its_brackets(self, m, n):
+        """Every single-entry bump of X, Y or H fails exactly the brackets
+        that full matrix products say it breaks."""
+        module = tensor_of_irreducibles(m, n)
+        seen = set()
+        for g in GENERATORS:
+            for i in range(module.dim):
+                for j in range(module.dim):
+                    bad = perturbed(module, g, i, j, 1)
+                    expected = broken_brackets(bad)
+                    assert check_relations(bad).failures == expected, (g, i, j)
+                    seen.add(expected)
+        # every bracket breaks somewhere, and some bumps break only part
+        assert {name for failed in seen for name in failed} == {
+            "[X,Y]=H", "[H,X]=2X", "[H,Y]=-2Y"
+        }
+        assert ("[X,Y]=H",) in seen
+
 
 class TestTensor:
     def test_v1_v1_weights(self):
@@ -146,6 +192,23 @@ class TestTensor:
         for i, row in enumerate(t.actY.nonzero_rows):
             for j, _ in row:
                 assert t.weights[i] == t.weights[j] - 2
+
+
+    @settings(max_examples=40)
+    @given(small_m, small_m, st.data())
+    def test_leibniz_rows_match_kron_oracle(self, m, n, data):
+        """Each generator is ga⊗I + I⊗gb, also with a corrupted factor."""
+        a, b = irreducible(m), irreducible(n, "ẽ")
+        for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+            if data.draw(st.booleans()):
+                a = corrupted(a, data)
+            else:
+                b = corrupted(b, data)
+        t = tensor_product(a, b)
+        for g in GENERATORS:
+            ga, gb = a.generator(g), b.generator(g)
+            expected = kron(ga, identity(b.dim)) + kron(identity(a.dim), gb)
+            assert t.generator(g) == expected
 
 
 class TestWeightSpaces:

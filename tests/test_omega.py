@@ -220,6 +220,15 @@ class TestOmegaTable:
             (1, 1, -3, -1),
         ]
 
+    def test_new_q_is_not_served_a_cached_form(self):
+        # Q⊗R is cached per pair; a second q on the same pair must rebuild it
+        q, q2, r = Fraction(2), Fraction(-3, 7), Fraction(5)
+        first = [row.value for row in omega_table(3, 2, q, r).rows]
+        second = [row.value for row in omega_table(3, 2, q2, r).rows]
+        assert second == [v * q2 / q for v in first]
+        assert second == [omega_closed(3, 2, k, q2, r) for k in range(3)]
+        assert [omega_value(3, 2, k, q, r) for k in range(3)] == first
+
     def test_m0_single_row_sign_qr(self):
         for q, r in [(1, 1), (1, -1), (Fraction(1, 2), Fraction(-3))]:
             report = omega_table(0, 4, q, r)

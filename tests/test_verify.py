@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sl2forms import cli, modules, omega, parallel, verify
+from sl2forms import cli, forms, modules, omega, parallel, verify
 from sl2forms.modules import ModuleVector
 from sl2forms.omega import InconsistencyError
 from sl2forms.verify import (
@@ -164,6 +164,7 @@ class TestOneBadCase:
 def cold_caches():
     modules.tensor_of_irreducibles.cache_clear()
     omega.x_power_b_brute.cache_clear()
+    forms.tensor_of_canonical_forms.cache_clear()
 
 
 def count_calls(monkeypatch, module, name):
@@ -179,8 +180,8 @@ def count_calls(monkeypatch, module, name):
 
 
 class TestStream:
-    """One pool call over the grid, one module build per pair, and bounded
-    caches that still compute each X^{s_k}b once."""
+    """One pool call over the grid, one module and one Q⊗R per pair, and
+    bounded caches that still compute each X^{s_k}b once."""
 
     def test_verify_all_builds_each_module_once(self, monkeypatch):
         maps = count_calls(monkeypatch, verify, "parallel_map")
@@ -190,6 +191,11 @@ class TestStream:
         assert info.misses == 25
         assert info.currsize <= 1
         assert len(maps) == 1
+        # star-forms builds each Q⊗R; the pair's ω brute route reads it
+        info = forms.tensor_of_canonical_forms.cache_info()
+        assert info.misses == 25
+        assert info.hits >= 25
+        assert info.currsize <= 1
 
     def test_x_power_computed_once_per_triple(self, monkeypatch):
         powers = count_calls(monkeypatch, omega, "apply_power")
