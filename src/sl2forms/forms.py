@@ -28,13 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from typing import Optional
 
 from .linalg import (
     ExactMatrix,
-    dot,
     kron,
-    mat_vec,
     primitive_integer,
     product_identity_holds,
     rank,
@@ -174,10 +173,25 @@ def tensor_of_canonical_forms(m: int, n: int, q: Scalar, r: Scalar) -> BilinearF
 
 
 def evaluate(form: BilinearForm, u: ModuleVector, v: ModuleVector) -> Fraction:
-    """uᵀ·gram·v, exactly."""
+    """uᵀ·gram·v, exactly.
+
+    Sums u_i·v_j·gram_ij over the nonzero u_i and the stored entries of
+    row i of the Gram matrix, so a pair of vectors in one weight space
+    costs that space's Gram entries, not the module dimension.  The
+    coordinates are multiplied first: for integer vectors and a `Fraction`
+    Gram matrix (Q⊗R) that is one `Fraction` product per term.
+    """
     for w in (u, v):
         if w.module is not form.module and w.module != form.module:
             raise ValueError(
                 f"vector lives in {w.module.label}, not {form.module.label}"
             )
-    return Fraction(dot(u.coords, mat_vec(form.gram, v.coords)))
+    rows, x, y = form.gram.nonzero_rows, u.coords, v.coords
+    total: Scalar = 0
+    for i in compress(range(len(x)), x):
+        xi = x[i]
+        for j, g in rows[i]:
+            yj = y[j]
+            if yj:
+                total += xi * yj * g
+    return Fraction(total)

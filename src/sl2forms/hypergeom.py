@@ -35,7 +35,8 @@ n+l-2k < 0 case rather than patching prefactors.
 the Pochhammer factor a+i is (p + i·q)/q, so each term ratio is one
 integer numerator over one integer denominator, the series is summed by
 Horner's rule on one integer numerator/denominator pair, and one
-`Fraction` is built at the end.
+`Fraction` is built at the end.  `series_route_verify` builds none: it
+compares the unreduced pair with the prefactor by cross-multiplication.
 """
 
 from __future__ import annotations
@@ -170,7 +171,10 @@ def series_route_verify(bound: int) -> KMSweepReport:
             continue
         count += 1
         spec, prefactor = to_3f2(p)
-        if prefactor * eval_3f2_terminating(spec) != (-1) ** (p.k + p.l):
+        num, den = _eval_3f2_pair(spec)
+        # prefactor·num/den = (-1)^{k+l}, cross-multiplied
+        sign = (-1) ** (p.k + p.l)
+        if prefactor.numerator * num != sign * prefactor.denominator * den:
             failures.append((p.k, p.l, p.m, p.n))
     return KMSweepReport(bound=bound, tuples=count, failures=tuple(failures))
 
@@ -217,6 +221,12 @@ def eval_3f2_terminating(spec: HypergeomSpec) -> Fraction:
     num/den with integers num = z_p·q_{b₁}q_{b₂}·Π(p_{aⱼ} + i·q_{aⱼ}) and
     den = z_q·q_{a₁}q_{a₂}q_{a₃}·Π(p_{bⱼ} + i·q_{bⱼ})·(i+1), where x = p_x/q_x.
     """
+    return Fraction(*_eval_3f2_pair(spec))
+
+
+def _eval_3f2_pair(spec: HypergeomSpec) -> tuple[int, int]:
+    """The series of `eval_3f2_terminating` as an unreduced integer pair
+    (num, den), den != 0."""
     t = spec.truncation_index
     (a1, a2, a3), (b1, b2) = spec.upper, spec.lower
     z = spec.argument
@@ -243,4 +253,4 @@ def eval_3f2_terminating(spec: HypergeomSpec) -> Fraction:
     for num, den in reversed(ratios):
         acc_den *= den
         acc_num = acc_den + num * acc_num
-    return Fraction(acc_num, acc_den)
+    return acc_num, acc_den

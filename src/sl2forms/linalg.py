@@ -12,6 +12,10 @@ rows directly.  `ExactMatrix.entries` is a dense view rebuilt on demand.
 `primitive_integer` scales a matrix to coprime integers, for checks that
 are unchanged by a positive scale and cheaper without `Fraction`s.
 
+`mat_vec` and `apply_power` walk the columns of a matrix (rows of its
+cached transpose) at the vector's nonzero indices only, so a vector in one
+weight space costs that space's nonzeros, not the matrix dimension.
+
 `product_identity_holds` checks an identity a@b - s·(c@d) = e in full, one
 row at a time: both products of a row and the row of e go into one
 accumulator, which must come out zero.  No product matrix is built and no
@@ -27,7 +31,9 @@ not eliminated at a pivot is applied lazily, when the row is next read,
 and a column index (column -> the unpivoted rows with an entry there)
 finds the pivot and the rows to eliminate without a scan, so a signed
 permutation (a tensor Gram matrix) costs constant work per pivot and no
-arithmetic on the rows it does not touch.
+arithmetic on the rows it does not touch.  Rows that are already integers
+skip the lcm of denominators, and `null_space` back-substitutes in
+integers too, building one `Fraction` per coordinate at the end.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .rationals import Scalar
@@ -256,28 +263,22 @@ def product_identity_holds(
 
 
 def mat_vec(a: ExactMatrix, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    """Exact product A*v."""
+    """Exact product A*v.
+
+    Walks only the columns of A (rows of the cached `ExactMatrix.transpose`)
+    at v's nonzero indices, so a vector confined to one weight space costs
+    that space's nonzeros, not all of A's.  Each entry sums its terms in
+    increasing column order, as a walk along A's rows would.
+    """
     if len(v) != a.cols:
         raise ValueError(f"vector of length {len(v)} does not match {a.cols} columns")
-    out: list[Scalar] = []
-    for row in a.nonzero_rows:
-        acc: Scalar = 0
-        for j, entry in row:
-            x = v[j]
-            if x:
-                acc += entry * x
-        out.append(acc)
+    columns = a.transpose.nonzero_rows
+    out: list[Scalar] = [0] * a.rows
+    for j in compress(range(len(v)), v):
+        x = v[j]
+        for i, entry in columns[j]:
+            out[i] += entry * x
     return tuple(out)
-
-
-def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-    if len(u) != len(v):
-        raise ValueError("length mismatch in dot product")
-    acc: Scalar = 0
-    for a, b in zip(u, v):
-        if a and b:
-            acc += a * b
-    return acc
 
 
 def apply_power(a: ExactMatrix, v: Sequence[Scalar], s: int) -> tuple[Scalar, ...]:
@@ -298,7 +299,7 @@ def apply_power(a: ExactMatrix, v: Sequence[Scalar], s: int) -> tuple[Scalar, ..
     if not s:
         return out
     columns = a.transpose.nonzero_rows
-    support = {j: x for j, x in enumerate(out) if x}
+    support = {j: out[j] for j in compress(range(len(out)), out)}
     for _ in range(s):
         image: dict[int, Scalar] = {}
         for j, x in support.items():
@@ -341,8 +342,17 @@ def primitive_integer(a: ExactMatrix) -> ExactMatrix:
 
 
 def _coprime_integer_row(row: Row) -> dict[int, int]:
-    """Integer row with gcd 1 spanning the same line as a nonempty sparse row."""
-    den, g = _content([x for _, x in row])
+    """Integer row with gcd 1 spanning the same line as a nonempty sparse row.
+
+    A row of `int`s needs only their gcd, and comes back as it is when that
+    is 1 (a primitive integer Gram matrix); any `Fraction` in the row sends
+    it through `_content`.
+    """
+    values = [x for _, x in row]
+    if all(type(x) is int for x in values):
+        g = math.gcd(*values)
+        return dict(row) if g == 1 else {j: x // g for j, x in row}
+    den, g = _content(values)
     return {j: x.numerator // g * (den // x.denominator) for j, x in row}
 
 
@@ -436,6 +446,14 @@ def null_space(a: ExactMatrix) -> list[tuple[Fraction, ...]]:
     Each vector is normalized so its first nonzero coordinate is 1, which
     makes the output deterministic and directly comparable to closed forms
     normalized the same way.
+
+    Back-substitution runs in integers on the Bareiss pivot rows: the
+    vector is held as integers with one common scale, so pivot column c
+    with pivot p takes the value -s/p, where s is the row's sum over the
+    coordinates already set.  When p/gcd(s, p) is not ±1, the whole vector
+    is first multiplied by its absolute value.  A kernel vector is fixed
+    only up to scale, so the scale is never tracked; one `Fraction` per
+    coordinate, divided by the leading coordinate, is built at the end.
     """
     pivot_rows, pivot_cols = _bareiss_echelon(a)
     pivots = set(pivot_cols)
@@ -444,14 +462,20 @@ def null_space(a: ExactMatrix) -> list[tuple[Fraction, ...]]:
     for free in range(a.cols):
         if free in pivots:
             continue
-        x = {free: Fraction(1)}
+        x = {free: 1}
         for c, row in back:
             s = sum(v * x[j] for j, v in row.items() if j in x)
             if s:
-                x[c] = -s / row[c]
+                p = row[c]
+                g = math.gcd(s, p)
+                s, p = s // g, p // g
+                if p not in (1, -1):
+                    t = abs(p)
+                    x = {j: v * t for j, v in x.items()}
+                x[c] = -s if p > 0 else s
         lead = x[min(x)]
         dense = [Fraction(0)] * a.cols
         for j, v in x.items():
-            dense[j] = v / lead
+            dense[j] = Fraction(v, lead)
         basis.append(tuple(dense))
     return basis

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .linalg import ExactMatrix, kron_sum, mat_vec, product_identity_holds
@@ -62,6 +62,15 @@ class WeightModule:
             mat = self.generator(g)
             if mat.rows != self.dim or mat.cols != self.dim:
                 raise ValueError(f"act{g} must be {self.dim}x{self.dim}")
+
+    @cached_property
+    def weight_positions(self) -> dict[int, tuple[int, ...]]:
+        """Weight -> positions (in basis order) of the basis vectors of that
+        weight, built on first use and kept with the module."""
+        positions: dict[int, list[int]] = {}
+        for j, w in enumerate(self.weights):
+            positions.setdefault(w, []).append(j)
+        return {w: tuple(js) for w, js in positions.items()}
 
     def generator(self, g: str) -> ExactMatrix:
         if g == "X":
@@ -198,8 +207,12 @@ def tensor_of_irreducibles(m: int, n: int) -> WeightModule:
 
 
 def weight_space_indices(module: WeightModule, w: int) -> tuple[int, ...]:
-    """Positions (in basis order) of the basis vectors of weight w."""
-    return tuple(j for j, wt in enumerate(module.weights) if wt == w)
+    """Positions (in basis order) of the basis vectors of weight w.
+
+    Read from the module's `WeightModule.weight_positions` map, so the
+    weights are scanned once per module, not once per call.
+    """
+    return module.weight_positions.get(w, ())
 
 
 def weight_space_basis(module: WeightModule, w: int) -> list[ModuleVector]:

@@ -127,7 +127,7 @@ def y_kernel_singular(m: int, n: int, k: int) -> ModuleVector:
             f"Y-kernel of the weight-{singular_weight(m, n, k)} space of "
             f"{module.label} has dimension {len(kernel)}, expected 1"
         )
-    coords = [Fraction(0)] * module.dim
+    coords: list[Scalar] = [0] * module.dim
     for j, v in zip(indices, kernel[0]):
         coords[j] = v
     return ModuleVector(module, tuple(coords))

@@ -18,7 +18,7 @@ from sl2forms.forms import (
     structure_of,
     tensor_form,
 )
-from sl2forms.linalg import ExactMatrix, identity, rank
+from sl2forms.linalg import ExactMatrix, identity, mat_vec, rank
 from sl2forms.modules import (
     ModuleVector,
     irreducible,
@@ -343,3 +343,31 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(canonical_form(1, 1), basis_vector(irreducible(2), 0),
                      basis_vector(irreducible(1), 0))
+
+    def test_identity_gram_is_the_dot_product(self):
+        v = irreducible(1)
+        form = BilinearForm(v, identity(2))
+        u, w = ModuleVector(v, (1, 2)), ModuleVector(v, (3, Fraction(1, 2)))
+        assert evaluate(form, u, w) == 4
+        assert type(evaluate(form, u, w)) is Fraction
+
+    @settings(max_examples=100)
+    @given(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2),
+           st.data())
+    def test_matches_dot_of_mat_vec(self, m, n, data):
+        """evaluate against u·(G v), with G a random symmetric sparse Gram
+        matrix whose products often cancel."""
+        module = tensor_of_irreducibles(m, n)
+        d = module.dim
+        sparse = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 2)])
+        half = ExactMatrix.from_rows(
+            data.draw(st.lists(st.lists(sparse, min_size=d, max_size=d),
+                               min_size=d, max_size=d))
+        )
+        form = BilinearForm(module, half + half.transpose)
+        coords = st.tuples(*[sparse] * d)
+        u, v = ModuleVector(module, data.draw(coords)), ModuleVector(module, data.draw(coords))
+        expected = sum(
+            (x * y for x, y in zip(u.coords, mat_vec(form.gram, v.coords))), Fraction(0)
+        )
+        assert evaluate(form, u, v) == expected

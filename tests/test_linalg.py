@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from sl2forms.linalg import (
     ExactMatrix,
     _bareiss_echelon,
+    _content,
+    _coprime_integer_row,
     apply_power,
-    dot,
     identity,
     kron,
     kron_sum,
@@ -102,6 +103,27 @@ def identity_cases(draw, max_dim: int = 5):
     else:
         e = _sparse_grid(draw, rows, cols)
     return a, b, c, d, e, s
+
+
+@st.composite
+def matrix_vector_cases(draw, max_dim: int = 8):
+    """(matrix, vector) with mostly-zero entries that often cancel."""
+    a = draw(sparse_matrices(max_dim))
+    v = draw(st.lists(sparse_scalars, min_size=a.cols, max_size=a.cols))
+    return a, v
+
+
+def row_walk_mat_vec(a: ExactMatrix, v) -> tuple:
+    """A*v by a walk along every stored row, skipping zero vector entries.
+    Oracle only."""
+    out = []
+    for row in a.nonzero_rows:
+        acc = 0
+        for j, entry in row:
+            if v[j]:
+                acc += entry * v[j]
+        out.append(acc)
+    return tuple(out)
 
 
 def matrices(max_dim: int = 5):
@@ -340,10 +362,19 @@ class TestArithmetic:
             expected = mat_vec(a, expected)
         assert apply_power(a, v, s) == expected
 
-    def test_dot(self):
-        assert dot((1, 2), (3, Fraction(1, 2))) == 4
+    @settings(max_examples=150)
+    @given(matrix_vector_cases())
+    def test_mat_vec_matches_row_walk(self, case):
+        # the column walk adds each entry's terms in the row walk's order,
+        # so even the types of cancelled entries agree
+        a, v = case
+        got, expected = mat_vec(a, v), row_walk_mat_vec(a, v)
+        assert got == expected
+        assert list(map(type, got)) == list(map(type, expected))
+
+    def test_mat_vec_length_mismatch(self):
         with pytest.raises(ValueError):
-            dot((1,), (1, 2))
+            mat_vec(identity(2), (1, 2, 3))
 
     def test_kron_block_layout(self):
         a = ExactMatrix.from_rows([[1, 2], [3, 4]])
@@ -495,6 +526,46 @@ class TestPrimitiveInteger:
         assert rank(primitive_integer(a)) == rank(a)
 
 
+class TestCoprimeIntegerRow:
+    """The integer path of `_coprime_integer_row` against the `_content`
+    path that every row took before it."""
+
+    @staticmethod
+    def content_path(row):
+        den, g = _content([x for _, x in row])
+        return {j: x.numerator // g * (den // x.denominator) for j, x in row}
+
+    @settings(max_examples=150)
+    @given(
+        st.lists(
+            st.integers(min_value=-30, max_value=30).filter(bool),
+            min_size=1,
+            max_size=6,
+        ),
+        st.sampled_from([1, 2, 3, 6, -4]),
+        st.booleans(),
+    )
+    def test_matches_content_path(self, values, factor, as_fractions):
+        row = tuple(
+            (2 * j, Fraction(factor * x) if as_fractions else factor * x)
+            for j, x in enumerate(values)
+        )
+        got = _coprime_integer_row(row)
+        assert got == self.content_path(row)
+        assert all(type(x) is int for x in got.values())
+        assert math.gcd(*got.values()) == 1
+
+    def test_frozen_rows(self):
+        assert _coprime_integer_row(((0, 4), (3, -6), (5, 10))) == {0: 2, 3: -3, 5: 5}
+        assert _coprime_integer_row(((1, -7),)) == {1: -1}
+        assert _coprime_integer_row(((0, 1), (2, -1))) == {0: 1, 2: -1}
+        integral = _coprime_integer_row(((0, Fraction(-9)), (1, Fraction(6))))
+        assert integral == {0: -3, 1: 2}
+        assert all(type(x) is int for x in integral.values())
+        mixed = _coprime_integer_row(((0, 2), (1, Fraction(1, 3))))
+        assert mixed == {0: 6, 1: 1}
+
+
 class TestRankAndKernel:
     def test_rank_identity(self):
         assert rank(identity(4)) == 4
@@ -524,6 +595,25 @@ class TestRankAndKernel:
         a = ExactMatrix.from_rows([[2, 6]])
         (v,) = null_space(a)
         assert v[0] == 1 and v == (Fraction(1), Fraction(-1, 3))
+
+    def test_integer_back_substitution_rescales(self):
+        # Each pivot fails to divide the sum it meets, so the integer
+        # vector is rescaled: once at the pivot 3 (and at -3), and twice in
+        # the last case, where the eager pivots are 4, -12 and -60.
+        assert null_space(ExactMatrix.from_rows([[3, 2]])) == [
+            (Fraction(1), Fraction(-3, 2))
+        ]
+        assert null_space(ExactMatrix.from_rows([[-3, 2]])) == [
+            (Fraction(1), Fraction(3, 2))
+        ]
+        a = ExactMatrix.from_rows([[4, 6, 0, 1], [0, -3, 2, 0], [0, 0, 5, 7]])
+        assert _bareiss_echelon(a)[0] == [
+            {0: 4, 1: 6, 3: 1}, {1: -12, 2: 8}, {2: -60, 3: -84}
+        ]
+        (v,) = null_space(a)
+        assert v == (1, Fraction(-56, 69), Fraction(-28, 23), Fraction(20, 23))
+        assert all(type(x) is Fraction for x in v)
+        assert mat_vec(a, v) == (0, 0, 0)
 
     def test_fractional_entries(self):
         a = ExactMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)]])

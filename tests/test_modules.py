@@ -2,6 +2,7 @@
 decomposition.  Frozen examples are hand substitutions into the action
 formulas; sweeps re-derive the Clebsch-Gordan pattern."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -227,6 +228,24 @@ class TestWeightSpaces:
 
     def test_missing_weight_gives_empty(self):
         assert weight_space_basis(irreducible(1), 0) == []
+
+    @settings(max_examples=20)
+    @given(small_m, small_m, st.randoms(use_true_random=False))
+    def test_weight_index_matches_linear_scan(self, m, n, rng):
+        """The cached weight map against a scan of the weights, also on a
+        copy made by `dataclasses.replace` with the weights reordered after
+        the original's map was built."""
+        t = tensor_of_irreducibles(m, n)
+        weight_space_indices(t, 0)  # builds t's map
+        shuffled = list(t.weights)
+        rng.shuffle(shuffled)
+        copy = replace(t, weights=tuple(shuffled))
+        for module in (t, copy):
+            for w in range(-m - n - 2, m + n + 3):
+                assert weight_space_indices(module, w) == tuple(
+                    j for j, wt in enumerate(module.weights) if wt == w
+                )
+        assert copy.weight_positions is not t.weight_positions
 
     @settings(max_examples=20)
     @given(small_m, small_m)
