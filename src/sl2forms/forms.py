@@ -20,14 +20,16 @@ identity is homogeneous and linear in the Gram matrix, so it holds for a
 nonzero multiple exactly when it holds for the matrix itself, and rank does
 not change under a nonzero scale.  The integer multiple keeps the checks
 out of `Fraction` arithmetic: a tensor Gram matrix q·r·P, with P the
-anti-diagonal permutation matrix, becomes ±P.
+anti-diagonal permutation matrix, becomes ±P.  `BilinearForm.integer_gram`
+computes that multiple once per form, with its scale c (gram = c·P), and
+`evaluate` sums over it in integers and multiplies by c once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress
 from typing import Optional
 
@@ -61,6 +63,18 @@ class BilinearForm:
             raise ValueError(f"gram matrix must be {d}x{d} for {self.module.label}")
         if self.gram != self.gram.transpose:
             raise ValueError("gram matrix must be symmetric")
+
+    @cached_property
+    def integer_gram(self) -> tuple[Scalar, ExactMatrix]:
+        """(c, P) with gram = c·P and P = `primitive_integer(gram)`.
+
+        c is 1 for the zero matrix.
+        """
+        p = primitive_integer(self.gram)
+        for row, prow in zip(self.gram.nonzero_rows, p.nonzero_rows):
+            if row:
+                return Fraction(row[0][1], prow[0][1]), p
+        return 1, p
 
 
 @dataclass(frozen=True)
@@ -103,7 +117,7 @@ def is_star_form(module: WeightModule, form: BilinearForm) -> StarFormReport:
         raise ValueError(
             f"form lives on {form.module.label}, not {module.label}"
         )
-    gram = primitive_integer(form.gram)
+    gram = form.integer_gram[1]
     zero = zeros(gram.rows, gram.cols)
     x, y, h = module.actX, module.actY, module.actH
     failures = []
@@ -175,18 +189,19 @@ def tensor_of_canonical_forms(m: int, n: int, q: Scalar, r: Scalar) -> BilinearF
 def evaluate(form: BilinearForm, u: ModuleVector, v: ModuleVector) -> Fraction:
     """uᵀ·gram·v, exactly.
 
-    Sums u_i·v_j·gram_ij over the nonzero u_i and the stored entries of
-    row i of the Gram matrix, so a pair of vectors in one weight space
-    costs that space's Gram entries, not the module dimension.  The
-    coordinates are multiplied first: for integer vectors and a `Fraction`
-    Gram matrix (Q⊗R) that is one `Fraction` product per term.
+    Sums u_i·v_j·P_ij over the nonzero u_i and the stored entries of row i
+    of the primitive integer Gram matrix P (`BilinearForm.integer_gram`),
+    so a pair of vectors in one weight space costs that space's Gram
+    entries, not the module dimension, and integer vectors sum in
+    integers.  The sum is multiplied by the scale c, gram = c·P, once.
     """
     for w in (u, v):
         if w.module is not form.module and w.module != form.module:
             raise ValueError(
                 f"vector lives in {w.module.label}, not {form.module.label}"
             )
-    rows, x, y = form.gram.nonzero_rows, u.coords, v.coords
+    c, gram = form.integer_gram
+    rows, x, y = gram.nonzero_rows, u.coords, v.coords
     total: Scalar = 0
     for i in compress(range(len(x)), x):
         xi = x[i]
@@ -194,4 +209,4 @@ def evaluate(form: BilinearForm, u: ModuleVector, v: ModuleVector) -> Fraction:
             yj = y[j]
             if yj:
                 total += xi * yj * g
-    return Fraction(total)
+    return Fraction(c * total)

@@ -31,12 +31,19 @@ This parameterization is derived here, not quoted from anywhere;
 the series route shares no code with the direct sum.  `to_3f2` refuses the
 n+l-2k < 0 case rather than patching prefactors.
 
-`eval_3f2_terminating` reads every parameter p/q once as an integer pair:
-the Pochhammer factor a+i is (p + i·q)/q, so each term ratio is one
-integer numerator over one integer denominator, the series is summed by
-Horner's rule on one integer numerator/denominator pair, and one
-`Fraction` is built at the end.  `series_route_verify` builds none: it
-compares the unreduced pair with the prefactor by cross-multiplication.
+Both sweeps walk plain (k, l, m, n) int tuples and carry only integers;
+neither builds a `KMParams`, `Fraction` or `HypergeomSpec` per tuple.
+`km_range_verify` compares `_km_scaled` with ±k! from a factorial table
+built once per sweep.  `series_route_verify` takes the integer parameters
+and the prefactor t₀, an unreduced pair of factorial products, from
+`_series_map`, sums the series with `_series_pair`, and compares the two
+pairs by cross-multiplication.  `km_scaled_sum`, `admissible_tuples`,
+`to_3f2` and `eval_3f2_terminating` wrap the same cores.
+
+`_series_pair` reads every parameter p/q (an int is p/1) once as an
+integer pair: the Pochhammer factor a+i is (p + i·q)/q, so each term ratio
+is one integer numerator over one integer denominator, and the series is
+summed by Horner's rule on one integer numerator/denominator pair.
 """
 
 from __future__ import annotations
@@ -44,6 +51,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, perm
+from numbers import Rational
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .rationals import factorial
 
@@ -86,7 +95,7 @@ class HypergeomSpec:
     argument: Fraction
 
     def __post_init__(self) -> None:
-        if not any(a.denominator == 1 and a.numerator <= 0 for a in self.upper):
+        if _truncation_index(self.upper) is None:
             raise ValueError(
                 "series does not terminate: no upper parameter is a "
                 "non-positive integer"
@@ -95,10 +104,7 @@ class HypergeomSpec:
     @property
     def truncation_index(self) -> int:
         """Smallest |a| over non-positive-integer upper parameters."""
-        return min(
-            -a.numerator for a in self.upper
-            if a.denominator == 1 and a.numerator <= 0
-        )
+        return _truncation_index(self.upper)
 
 
 @dataclass(frozen=True)
@@ -114,14 +120,18 @@ class KMSweepReport:
         return not self.failures
 
 
-def km_scaled_sum(p: KMParams) -> int:
-    """k! times the left-hand sum, in integers (expected: (-1)^{k+l} k!)."""
-    k, l, m, n = p.k, p.l, p.m, p.n
+def _km_scaled(k: int, l: int, m: int, n: int) -> int:
+    """k! times the left-hand sum of the tuple (k, l, m, n), in integers."""
     total = 0
     for i in range(k + 1):
         term = comb(k, i) * perm(m - i, l) * perm(n - k + i, k - l)
         total += -term if i & 1 else term
     return total
+
+
+def km_scaled_sum(p: KMParams) -> int:
+    """k! times the left-hand sum, in integers (expected: (-1)^{k+l} k!)."""
+    return _km_scaled(p.k, p.l, p.m, p.n)
 
 
 def km_sum(p: KMParams) -> Fraction:
@@ -134,25 +144,33 @@ def km_check(p: KMParams) -> bool:
     return km_scaled_sum(p) == (-1) ** (p.k + p.l) * factorial(p.k)
 
 
-def admissible_tuples(bound: int):
-    """Yield every KMParams with 0 ≤ m, n ≤ bound, 0 ≤ l ≤ k ≤ min(m, n)."""
+def _tuples(bound: int) -> Iterator[tuple[int, int, int, int]]:
+    """Every (k, l, m, n) with 0 ≤ m, n ≤ bound, 0 ≤ l ≤ k ≤ min(m, n)."""
     for m in range(bound + 1):
         for n in range(bound + 1):
             for k in range(min(m, n) + 1):
                 for l in range(k + 1):
-                    yield KMParams(k=k, l=l, m=m, n=n)
+                    yield k, l, m, n
+
+
+def admissible_tuples(bound: int) -> Iterator[KMParams]:
+    """Yield every KMParams with 0 ≤ m, n ≤ bound, 0 ≤ l ≤ k ≤ min(m, n)."""
+    for k, l, m, n in _tuples(bound):
+        yield KMParams(k=k, l=l, m=m, n=n)
 
 
 def km_range_verify(bound: int) -> KMSweepReport:
     """Run km_check on every admissible tuple with m, n ≤ bound."""
     if bound < 0:
         raise ValueError(f"bound must be nonnegative (got {bound})")
+    facts = [factorial(k) for k in range(bound + 1)]
     count = 0
     failures = []
-    for p in admissible_tuples(bound):
+    for t in _tuples(bound):
         count += 1
-        if not km_check(p):
-            failures.append((p.k, p.l, p.m, p.n))
+        k, l, m, n = t
+        if _km_scaled(k, l, m, n) != (-facts[k] if (k + l) & 1 else facts[k]):
+            failures.append(t)
     return KMSweepReport(bound=bound, tuples=count, failures=tuple(failures))
 
 
@@ -166,17 +184,40 @@ def series_route_verify(bound: int) -> KMSweepReport:
         raise ValueError(f"bound must be nonnegative (got {bound})")
     count = 0
     failures = []
-    for p in admissible_tuples(bound):
-        if p.n + p.l - 2 * p.k < 0:
+    for t in _tuples(bound):
+        k, l, m, n = t
+        if n + l - 2 * k < 0:
             continue
         count += 1
-        spec, prefactor = to_3f2(p)
-        num, den = _eval_3f2_pair(spec)
+        upper, lower, (pre_num, pre_den) = _series_map(k, l, m, n)
+        num, den = _series_pair(upper, lower, 1)
         # prefactor·num/den = (-1)^{k+l}, cross-multiplied
-        sign = (-1) ** (p.k + p.l)
-        if prefactor.numerator * num != sign * prefactor.denominator * den:
-            failures.append((p.k, p.l, p.m, p.n))
+        if (k + l) & 1:
+            den = -den
+        if pre_num * num != pre_den * den:
+            failures.append(t)
     return KMSweepReport(bound=bound, tuples=count, failures=tuple(failures))
+
+
+def _series_map(
+    k: int, l: int, m: int, n: int
+) -> tuple[tuple[int, int, int], tuple[int, int], tuple[int, int]]:
+    """The ₃F₂ restatement of the tuple: integer upper and lower parameters,
+    and the prefactor t₀ as an unreduced pair (num, den) of factorials."""
+    shift = n + l - 2 * k
+    if shift < 0:
+        raise UnsupportedMappingError(
+            f"n+l-2k = {shift} < 0: the sum starts above i = 0 and has no "
+            "clean series form here; use km_sum"
+        )
+    return (
+        (-k, n - k + 1, l - m),
+        (-m, shift + 1),
+        (
+            factorial(m) * factorial(n - k),
+            factorial(k) * factorial(m - l) * factorial(shift),
+        ),
+    )
 
 
 def to_3f2(p: KMParams) -> tuple[HypergeomSpec, Fraction]:
@@ -185,29 +226,25 @@ def to_3f2(p: KMParams) -> tuple[HypergeomSpec, Fraction]:
     Requires n+l-2k ≥ 0 so the i = 0 summand is nonzero; the excluded case
     is covered by km_sum directly.
     """
-    shift = p.n + p.l - 2 * p.k
-    if shift < 0:
-        raise UnsupportedMappingError(
-            f"n+l-2k = {shift} < 0: the sum starts above i = 0 and has no "
-            "clean series form here; use km_sum"
-        )
+    upper, lower, prefactor = _series_map(p.k, p.l, p.m, p.n)
     spec = HypergeomSpec(
-        upper=(
-            Fraction(-p.k),
-            Fraction(p.n - p.k + 1),
-            Fraction(-(p.m - p.l)),
-        ),
-        lower=(Fraction(-p.m), Fraction(shift + 1)),
+        upper=tuple(map(Fraction, upper)),
+        lower=tuple(map(Fraction, lower)),
         argument=Fraction(1),
     )
-    prefactor = Fraction(
-        factorial(p.m) * factorial(p.n - p.k),
-        factorial(p.k) * factorial(p.m - p.l) * factorial(shift),
+    return spec, Fraction(*prefactor)
+
+
+def _truncation_index(upper: Iterable[Rational]) -> Optional[int]:
+    """Smallest |a| over the non-positive-integer upper parameters, or None
+    when there is none and the series does not terminate."""
+    return min(
+        (-a.numerator for a in upper if a.denominator == 1 and a.numerator <= 0),
+        default=None,
     )
-    return spec, prefactor
 
 
-def _pochhammer_numerators(a: Fraction, t: int) -> range:
+def _pochhammer_numerators(a: Rational, t: int) -> range:
     """Numerators of the factors a, a+1, …, a+t-1 over a's denominator."""
     p, q = a.numerator, a.denominator
     return range(p, p + t * q, q)
@@ -221,15 +258,18 @@ def eval_3f2_terminating(spec: HypergeomSpec) -> Fraction:
     num/den with integers num = z_p·q_{b₁}q_{b₂}·Π(p_{aⱼ} + i·q_{aⱼ}) and
     den = z_q·q_{a₁}q_{a₂}q_{a₃}·Π(p_{bⱼ} + i·q_{bⱼ})·(i+1), where x = p_x/q_x.
     """
-    return Fraction(*_eval_3f2_pair(spec))
+    return Fraction(*_series_pair(spec.upper, spec.lower, spec.argument))
 
 
-def _eval_3f2_pair(spec: HypergeomSpec) -> tuple[int, int]:
-    """The series of `eval_3f2_terminating` as an unreduced integer pair
-    (num, den), den != 0."""
-    t = spec.truncation_index
-    (a1, a2, a3), (b1, b2) = spec.upper, spec.lower
-    z = spec.argument
+def _series_pair(
+    upper: Sequence[Rational], lower: Sequence[Rational], z: Rational
+) -> tuple[int, int]:
+    """The series of `eval_3f2_terminating` with parameters given as ints or
+    `Fraction`s, as an unreduced integer pair (num, den), den != 0.
+
+    The upper parameters must include a non-positive integer."""
+    t = _truncation_index(upper)
+    (a1, a2, a3), (b1, b2) = upper, lower
     num_scale = z.numerator * b1.denominator * b2.denominator
     den_scale = z.denominator * a1.denominator * a2.denominator * a3.denominator
     ratios = []

@@ -192,33 +192,65 @@ def zeros(rows: int, cols: int) -> ExactMatrix:
 
 
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Kronecker product, left factor outermost (row-major block layout)."""
+    """Kronecker product, left factor outermost (row-major block layout).
+
+    An entry whose two factors are the same objects as the previous
+    entry's reuses that product, so a Kronecker product of two constant
+    matrices (Q⊗R of canonical forms) holds a single product object, and
+    comparing it with its transpose is an identity check per entry.
+    """
     b_nz, b_cols = b.nonzero_rows, b.cols
-    out = [
-        tuple((j * b_cols + l, av * bv) for j, av in arow for l, bv in brow)
-        for arow in a.nonzero_rows
-        for brow in b_nz
-    ]
+    last_a = last_b = last = None
+    out = []
+    for arow in a.nonzero_rows:
+        for brow in b_nz:
+            row = []
+            for j, av in arow:
+                base = j * b_cols
+                for l, bv in brow:
+                    if av is not last_a or bv is not last_b:
+                        last_a, last_b, last = av, bv, av * bv
+                    row.append((base + l, last))
+            out.append(tuple(row))
     return ExactMatrix._stored(a.rows * b.rows, a.cols * b_cols, tuple(out))
 
 
 def kron_sum(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """a⊗I + I⊗b for square a and b, built row by row without either
-    Kronecker product: row (i, j) is a's row i at columns k·dim_b + j plus
-    b's row j at columns i·dim_b + l, which meet only on the diagonal."""
+    Kronecker product.
+
+    Row (i, j) is a's row i at columns k·dim_b + j plus b's row j at
+    columns i·dim_b + l, which meet only at the diagonal entry i·dim_b + j.
+    It is emitted in column order with no sort: a's entries with k < i,
+    then block i (b's row j with a's diagonal entry merged in at l = j,
+    dropped if the sum is zero), then a's entries with k > i.
+    """
     if a.rows != a.cols or b.rows != b.cols:
         raise ValueError(
             f"kron_sum of {a.rows}x{a.cols} and {b.rows}x{b.cols}: both must be square"
         )
     d = b.rows
+    b_nz = b.nonzero_rows
     out = []
     for i, arow in enumerate(a.nonzero_rows):
         base = i * d
-        for j, brow in enumerate(b.nonzero_rows):
-            acc = {k * d + j: x for k, x in arow}
-            for l, y in brow:
-                acc[base + l] = acc.get(base + l, 0) + y
-            out.append(_canonical(acc))
+        below = [(k * d, x) for k, x in arow if k < i]
+        above = [(k * d, x) for k, x in arow if k > i]
+        diag = next((x for k, x in arow if k == i), 0)
+        for j, brow in enumerate(b_nz):
+            if diag:
+                at = diag + next((y for l, y in brow if l == j), 0)
+                row = [(base + l, y) for l, y in brow if l < j]
+                if at:
+                    row.append((base + j, at))
+                row += [(base + l, y) for l, y in brow if l > j]
+            else:
+                row = [(base + l, y) for l, y in brow]
+            if below:
+                row[:0] = [(c + j, x) for c, x in below]
+            if above:
+                row += [(c + j, x) for c, x in above]
+            out.append(tuple(row))
     return ExactMatrix._stored(a.rows * d, a.rows * d, tuple(out))
 
 

@@ -18,7 +18,7 @@ from sl2forms.forms import (
     structure_of,
     tensor_form,
 )
-from sl2forms.linalg import ExactMatrix, identity, mat_vec, rank
+from sl2forms.linalg import ExactMatrix, identity, mat_vec, primitive_integer, rank
 from sl2forms.modules import (
     ModuleVector,
     irreducible,
@@ -371,3 +371,37 @@ class TestEvaluate:
             (x * y for x, y in zip(u.coords, mat_vec(form.gram, v.coords))), Fraction(0)
         )
         assert evaluate(form, u, v) == expected
+
+
+class TestIntegerGram:
+    """`BilinearForm.integer_gram` and the integer sum of `evaluate`, on
+    symmetric sparse Gram matrices with a common scale drawn apart."""
+
+    @settings(max_examples=100)
+    @given(
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=2),
+        st.sampled_from([1, -1, 6, Fraction(7, 3), Fraction(-2, 5)]),
+        st.data(),
+    )
+    def test_evaluate_matches_double_sum(self, m, n, scale, data):
+        module = tensor_of_irreducibles(m, n)
+        d = module.dim
+        sparse = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)])
+        half = ExactMatrix.from_rows(
+            data.draw(st.lists(st.lists(sparse, min_size=d, max_size=d),
+                               min_size=d, max_size=d))
+        )
+        gram = (half + half.transpose).scaled(scale)
+        form = BilinearForm(module, gram)
+        c, p = form.integer_gram
+        assert p == primitive_integer(gram) and p.scaled(c) == gram
+        coords = st.tuples(*[st.sampled_from([0, 0, 1, -2, 3, Fraction(1, 3)])] * d)
+        u, v = ModuleVector(module, data.draw(coords)), ModuleVector(module, data.draw(coords))
+        g = gram.entries
+        expected = sum(
+            (u.coords[i] * g[i][j] * v.coords[j] for i in range(d) for j in range(d)),
+            Fraction(0),
+        )
+        value = evaluate(form, u, v)
+        assert value == expected and type(value) is Fraction

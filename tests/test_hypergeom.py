@@ -363,3 +363,47 @@ class TestCorruptionOracles:
         assert expected
         assert set(series_route_verify(self.BOUND).failures) == expected
         assert km_range_verify(self.BOUND).ok
+
+
+class TestIntegerCores:
+    """The integer cores that the sweeps call, and the sweeps' verdicts,
+    against the public wrappers on every admissible tuple up to the bound."""
+
+    BOUND = 12
+
+    def test_tuples_match_admissible_tuples_in_order(self):
+        tuples = list(hypergeom._tuples(self.BOUND))
+        assert tuples == [(p.k, p.l, p.m, p.n) for p in admissible_tuples(self.BOUND)]
+        lexicographic = sorted(set(tuples), key=lambda t: (t[2], t[3], t[0], t[1]))
+        assert tuples == lexicographic
+
+    def test_direct_core_and_sweep_match_km_scaled_sum(self):
+        failures = []
+        for p in admissible_tuples(self.BOUND):
+            assert hypergeom._km_scaled(p.k, p.l, p.m, p.n) == km_scaled_sum(p)
+            if not km_check(p):
+                failures.append((p.k, p.l, p.m, p.n))
+        report = km_range_verify(self.BOUND)
+        assert report.failures == tuple(failures)
+        assert report.tuples == len(list(admissible_tuples(self.BOUND)))
+
+    def test_series_cores_and_sweep_match_to_3f2_and_eval(self):
+        count, failures = 0, []
+        for p in admissible_tuples(self.BOUND):
+            t = (p.k, p.l, p.m, p.n)
+            if p.n + p.l - 2 * p.k < 0:
+                with pytest.raises(UnsupportedMappingError):
+                    hypergeom._series_map(*t)
+                continue
+            upper, lower, (num, den) = hypergeom._series_map(*t)
+            assert all(type(x) is int for x in (*upper, *lower, num, den))
+            spec, prefactor = to_3f2(p)
+            assert (spec.upper, spec.lower, spec.argument) == (upper, lower, 1)
+            assert Fraction(num, den) == prefactor
+            series = eval_3f2_terminating(spec)
+            assert Fraction(*hypergeom._series_pair(upper, lower, 1)) == series
+            count += 1
+            if prefactor * series != (-1) ** (p.k + p.l):
+                failures.append(t)
+        report = series_route_verify(self.BOUND)
+        assert (report.tuples, report.failures) == (count, tuple(failures))

@@ -283,6 +283,48 @@ def naive_null_space(a: ExactMatrix) -> list[tuple[Fraction, ...]]:
     return basis
 
 
+def sorted_kron(a: ExactMatrix, b: ExactMatrix) -> tuple:
+    """The stored rows of a⊗b, each accumulated in a dict and sorted.
+    Oracle only."""
+    rows = []
+    for arow in a.nonzero_rows:
+        for brow in b.nonzero_rows:
+            acc = {j * b.cols + l: x * y for j, x in arow for l, y in brow}
+            rows.append(tuple(sorted(acc.items())))
+    return tuple(rows)
+
+
+def sorted_kron_sum(a: ExactMatrix, b: ExactMatrix) -> tuple:
+    """The stored rows of a⊗I + I⊗b, each accumulated in a dict, zeros
+    dropped and sorted.  Oracle only."""
+    d = b.rows
+    rows = []
+    for i, arow in enumerate(a.nonzero_rows):
+        for j, brow in enumerate(b.nonzero_rows):
+            acc = {}
+            for k, x in arow:
+                acc[k * d + j] = acc.get(k * d + j, 0) + x
+            for l, y in brow:
+                acc[i * d + l] = acc.get(i * d + l, 0) + y
+            rows.append(tuple(sorted((c, v) for c, v in acc.items() if v)))
+    return tuple(rows)
+
+
+@st.composite
+def kron_sum_cases(draw, max_dim: int = 6):
+    """Square sparse a and b where some of b's diagonal entries are the
+    negatives of a's, so diagonal sums a_ii + b_jj often cancel."""
+    dim = st.integers(min_value=1, max_value=max_dim)
+    da, db = draw(dim), draw(dim)
+    a = _sparse_grid(draw, da, da)
+    grid = [list(row) for row in _sparse_grid(draw, db, db).entries]
+    diagonal = [dict(row).get(i, 0) for i, row in enumerate(a.nonzero_rows)]
+    for j in range(db):
+        if draw(st.booleans()):
+            grid[j][j] = -draw(st.sampled_from(diagonal))
+    return a, ExactMatrix.from_rows(grid)
+
+
 class TestShapes:
     def test_bad_row_count_rejected(self):
         with pytest.raises(ValueError):
@@ -386,6 +428,21 @@ class TestArithmetic:
         assert k.entries[2] == (0, 15, 0, 20)
         assert k.entries[3] == (18, 21, 24, 28)
 
+    @settings(max_examples=200)
+    @given(sparse_matrices(6), sparse_matrices(6))
+    def test_kron_matches_sorted_reference(self, a, b):
+        k = kron(a, b)
+        assert (k.rows, k.cols) == (a.rows * b.rows, a.cols * b.cols)
+        assert k.nonzero_rows == sorted_kron(a, b)
+
+    def test_kron_of_constant_factors_shares_one_product(self):
+        q, r = Fraction(-8, 3), Fraction(8, 9)
+        a = ExactMatrix.from_sparse(3, 3, (((2 - i, q),) for i in range(3)))
+        b = ExactMatrix.from_sparse(4, 4, (((3 - i, r),) for i in range(4)))
+        values = [v for row in kron(a, b).nonzero_rows for _, v in row]
+        assert len(values) == 12 and values[0] == q * r
+        assert all(v is values[0] for v in values)
+
 
 class TestProductIdentity:
     """`product_identity_holds` against the product matrices it avoids."""
@@ -429,6 +486,14 @@ class TestKronSum:
             (0, 0, -2, 0),
             (0, 0, 3, 0),
         )
+
+    @settings(max_examples=200)
+    @given(kron_sum_cases())
+    def test_matches_sorted_reference(self, case):
+        a, b = case
+        k = kron_sum(a, b)
+        assert (k.rows, k.cols) == (a.rows * b.rows, a.rows * b.rows)
+        assert k.nonzero_rows == sorted_kron_sum(a, b)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
