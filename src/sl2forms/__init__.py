@@ -45,7 +45,6 @@ from .modules import (
     perturbed,
     tensor_of_irreducibles,
     tensor_product,
-    weight_space_basis,
     weight_space_indices,
 )
 from .omega import (
@@ -64,7 +63,6 @@ from .omega import (
     y_kernel_singular,
 )
 from .rationals import (
-    binomial,
     factorial,
     parse_rational,
     reciprocal_factorial,
@@ -95,7 +93,6 @@ __all__ = [
     "act",
     "apply_power",
     "b_closed_form",
-    "binomial",
     "canonical_form",
     "check_relations",
     "check_sign_alternation",
@@ -126,7 +123,6 @@ __all__ = [
     "tensor_product",
     "to_3f2",
     "verify_all",
-    "weight_space_basis",
     "weight_space_indices",
     "x_power_b_brute",
     "x_power_b_closed",

@@ -21,19 +21,14 @@ row at a time: both products of a row and the row of e go into one
 accumulator, which must come out zero.  No product matrix is built and no
 row is sorted, so the check costs the products' multiplications only.
 
-The elimination engine is fraction-free (Bareiss) on sparse integer rows:
-zero rows are dropped, every other row is scaled to coprime integers and
-held as a map from column to nonzero value, then eliminated with the
-two-term determinant update divided exactly by the previous pivot, so
-intermediate entries stay minor-sized instead of growing the way naive
-fractional elimination lets them.  The Bareiss rescale of rows that are
-not eliminated at a pivot is applied lazily, when the row is next read,
-and a column index (column -> the unpivoted rows with an entry there)
-finds the pivot and the rows to eliminate without a scan, so a signed
-permutation (a tensor Gram matrix) costs constant work per pivot and no
-arithmetic on the rows it does not touch.  Rows that are already integers
-skip the lcm of denominators, and `null_space` back-substitutes in
-integers too, building one `Fraction` per coordinate at the end.
+Elimination reduces one row at a time on sparse integer rows: each row is
+scaled to coprime integers and held as a map from column to nonzero value,
+then combined with the pivot row of its least column, and scaled to
+coprime integers again, until it is zero or has a least column with no
+pivot row yet.  A signed permutation (a tensor Gram matrix) thus costs
+constant work per row and no combination at all.  Rows that are already
+integers skip the lcm of denominators, and `null_space` back-substitutes
+in integers too, building one `Fraction` per coordinate at the end.
 """
 
 from __future__ import annotations
@@ -388,106 +383,58 @@ def _coprime_integer_row(row: Row) -> dict[int, int]:
     return {j: x.numerator // g * (den // x.denominator) for j, x in row}
 
 
-def _caught_up(row: dict[int, int], stamp: int, prev: int) -> dict[int, int]:
-    """A row last updated when the previous pivot was `stamp`, brought up to
-    the current previous pivot `prev` (see `_bareiss_echelon`)."""
-    if stamp == prev:
-        return row
-    return {j: v * prev // stamp for j, v in row.items()}
-
-
-def _bareiss_echelon(a: ExactMatrix) -> tuple[list[dict[int, int]], list[int]]:
-    """Fraction-free row echelon form on sparse integer rows.
+def _echelon(a: ExactMatrix) -> tuple[list[dict[int, int]], list[int]]:
+    """Sparse integer row echelon form, one row at a time.
 
     Returns the pivot rows, each a map from column to nonzero integer, and
-    their pivot columns, both in pivot order.  Zero rows are dropped up
-    front: they never pivot and no update makes them nonzero.  At column c
-    the first remaining row with an entry there is swapped up to pivot, and
-    every later row with f = row[c] != 0 becomes (piv·row - f·pivot_row)
-    divided exactly by the previous pivot, over the union of the two
-    supports.
-
-    The rows with an entry at c are read from a column index, kept up to
-    date as rows are eliminated, instead of scanning every remaining row.
-    "First" is by current position: rows are never moved, but `position`
-    records the order that the swaps of the eager algorithm would leave,
-    and the pivot is the candidate at the least position.
-
-    Bareiss also multiplies every row with a zero in the pivot column by
-    piv/prev.  That rescale is lazy here: each row keeps a stamp, the
-    previous pivot at its last update.  The rescales it skipped telescope
-    to prev/stamp, so its true value is stored·prev // stamp, exact because
-    it is the integer the eager rescale would hold.  A row is caught up only
-    when it pivots or is eliminated, and a pivot row is never touched
-    again, so the returned rows are up to date.
+    their pivot columns, both sorted by column.  Each nonzero row of `a` is
+    scaled to coprime integers; while its least column c has a pivot row,
+    it becomes piv·row - row[c]·pivot_row, scaled to coprime integers again.
+    A row that is still nonzero becomes the pivot row of its least column.
     """
-    work = [_coprime_integer_row(row) for row in a.nonzero_rows if row]
-    stamps = [1] * len(work)
-    position = list(range(len(work)))  # row id -> place in the eager order
-    at = list(range(len(work)))  # place -> row id
-    index: dict[int, set[int]] = {}
-    for i, row in enumerate(work):
-        for j in row:
-            index.setdefault(j, set()).add(i)
-    pivot_rows: list[dict[int, int]] = []
-    pivot_cols: list[int] = []
-    prev = 1
-    for c in range(a.cols):
-        rows_at_c = index.pop(c, None)
-        if not rows_at_c:
-            continue
-        r = len(pivot_cols)
-        p = min(rows_at_c, key=position.__getitem__)
-        rows_at_c.discard(p)
-        q = at[r]  # the row at place r moves to the pivot's place
-        position[q], at[position[p]] = position[p], q
-        position[p], at[r] = r, p
-        piv_row = _caught_up(work[p], stamps[p], prev)
-        for j in piv_row:
-            if j != c:
-                index[j].discard(p)
-        piv = piv_row[c]
-        for i in rows_at_c:
-            row = _caught_up(work[i], stamps[i], prev)
-            f = row[c]
+    pivots: dict[int, dict[int, int]] = {}
+    for stored in a.nonzero_rows:
+        row = _coprime_integer_row(stored) if stored else {}
+        while row:
+            c = min(row)
+            pivot_row = pivots.get(c)
+            if pivot_row is None:
+                pivots[c] = row
+                break
+            piv, f = pivot_row[c], row[c]
             acc = {j: piv * v for j, v in row.items()}
-            for j, v in piv_row.items():
+            for j, v in pivot_row.items():
                 acc[j] = acc.get(j, 0) - f * v
-            new = work[i] = {j: x // prev for j, x in acc.items() if x}
-            stamps[i] = piv
-            for j in row:
-                if j != c and j not in new:
-                    index[j].discard(i)
-            for j in new:
-                if j not in row:
-                    index.setdefault(j, set()).add(i)
-        pivot_rows.append(piv_row)
-        pivot_cols.append(c)
-        prev = piv
-    return pivot_rows, pivot_cols
+            reduced = [(j, v) for j, v in acc.items() if v]
+            row = _coprime_integer_row(reduced) if reduced else {}
+    cols = sorted(pivots)
+    return [pivots[c] for c in cols], cols
 
 
 def rank(a: ExactMatrix) -> int:
-    """Exact rank via fraction-free elimination."""
-    return len(_bareiss_echelon(a)[1])
+    """Exact rank: the number of pivot columns of the integer echelon form."""
+    return len(_echelon(a)[1])
 
 
 def null_space(a: ExactMatrix) -> list[tuple[Fraction, ...]]:
     """A basis of ker(A), one vector per free column in increasing order.
 
-    Each vector is normalized so its first nonzero coordinate is 1, which
-    makes the output deterministic and directly comparable to closed forms
+    The vector of a free column has that coordinate 1 and every other free
+    coordinate 0, so it depends only on the row space of A, not on which
+    rows pivot.  It is then normalized so its first nonzero coordinate is
+    1, which makes the output directly comparable to closed forms
     normalized the same way.
 
-    Back-substitution runs in integers on the Bareiss pivot rows: the
-    vector is held as integers with one common scale, so pivot column c
-    with pivot p takes the value -s/p, where s is the row's sum over the
-    coordinates already set.  When p/gcd(s, p) is not ±1, the whole vector
-    is first multiplied by its absolute value.  A kernel vector is fixed
-    only up to scale, so the scale is never tracked; one `Fraction` per
-    coordinate, divided by the leading coordinate, is built at the end.
+    Back-substitution runs in integers on the pivot rows of `_echelon`,
+    last pivot column first: the vector is held as integers with one
+    common scale, so pivot column c with pivot p takes the value -s/p,
+    where s is the row's sum over the coordinates already set.  When
+    p/gcd(s, p) is not ±1, the whole vector is first multiplied by its
+    absolute value.  A kernel vector is fixed only up to scale, so the
+    scale is never tracked; one `Fraction` per coordinate, divided by the
+    leading coordinate, is built at the end.
     """
-    pivot_rows, pivot_cols = _bareiss_echelon(a)
+    pivot_rows, pivot_cols = _echelon(a)
     pivots = set(pivot_cols)
     back = list(zip(reversed(pivot_cols), reversed(pivot_rows)))
     basis: list[tuple[Fraction, ...]] = []

@@ -215,16 +215,6 @@ def weight_space_indices(module: WeightModule, w: int) -> tuple[int, ...]:
     return module.weight_positions.get(w, ())
 
 
-def weight_space_basis(module: WeightModule, w: int) -> list[ModuleVector]:
-    """The standard basis vectors of weight w, in basis order."""
-    out = []
-    for j in weight_space_indices(module, w):
-        coords = [0] * module.dim
-        coords[j] = 1
-        out.append(ModuleVector(module, tuple(coords)))
-    return out
-
-
 def decompose(module: WeightModule) -> DecompositionReport:
     """Irreducible multiplicities by weight differencing.
 

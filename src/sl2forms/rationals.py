@@ -24,19 +24,6 @@ def factorial(n: int) -> int:
     return math.factorial(n)
 
 
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient with the convention that out-of-range k gives 0.
-
-    Requires n >= 0.  Returning 0 for k < 0 or k > n lets summations run over
-    a plain 0..k index range without explicit max/min bounds.
-    """
-    if n < 0:
-        raise ValueError(f"binomial requires n >= 0 (got n={n})")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def reciprocal_factorial(j: int) -> Fraction:
     """1/j! for j >= 0, and exactly 0 for j < 0 (reciprocal-gamma convention)."""
     if j < 0:

@@ -9,14 +9,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sl2forms.linalg import (
     ExactMatrix,
-    _bareiss_echelon,
     _content,
     _coprime_integer_row,
+    _echelon,
     apply_power,
     identity,
     kron,
@@ -181,11 +181,10 @@ def signed_permutations(max_dim: int = 8):
     all of them, then rows that combine a few of its rows, then a few extra
     sparse columns.
 
-    Scaled to coprime integers, every permutation row is ±1 of that sign, so
-    with sign -1 every Bareiss pivot has the opposite sign of the previous
-    one: each rescale piv/prev is -1, the lazy rescale path.  The combined
-    rows skip some pivot columns before they are eliminated, so they are
-    read after rescales they skipped.
+    Scaled to coprime integers, every permutation row is ±1 of that sign and
+    pivots at once, as every row of a tensor Gram matrix does.  The combined
+    rows are reduced against one pivot row after another, and reach zero
+    unless the extra columns keep them nonzero.
     """
     positive = st.sampled_from([1, 2, 3, Fraction(1, 2), Fraction(3, 4)])
     return st.integers(min_value=1, max_value=max_dim).flatmap(
@@ -210,34 +209,6 @@ def signed_permutations(max_dim: int = 8):
             )
         )
     )
-
-
-def eager_bareiss(a: ExactMatrix) -> tuple[list[dict[int, int]], list[int]]:
-    """Dense Bareiss with the rescale piv/prev applied to every row at every
-    pivot, on the nonzero rows scaled to coprime integers: the values the
-    lazy engine must reproduce exactly.  Oracle only."""
-    m = []
-    for row in a.entries:
-        if any(row):
-            den = math.lcm(*(Fraction(x).denominator for x in row))
-            ints = [int(x * den) for x in row]
-            g = math.gcd(*ints)
-            m.append([x // g for x in ints])
-    pivots: list[int] = []
-    prev = 1
-    for c in range(a.cols):
-        r = len(pivots)
-        p = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        piv = m[r][c]
-        for i in range(r + 1, len(m)):
-            f = m[i][c]
-            m[i] = [(piv * x - f * y) // prev for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        prev = piv
-    return [{j: x for j, x in enumerate(row) if x} for row in m[: len(pivots)]], pivots
 
 
 def naive_rref(a: ExactMatrix) -> tuple[list[list[Fraction]], list[int]]:
@@ -660,11 +631,17 @@ class TestRankAndKernel:
         a = ExactMatrix.from_rows([[2, 6]])
         (v,) = null_space(a)
         assert v[0] == 1 and v == (Fraction(1), Fraction(-1, 3))
+        # the first nonzero coordinate is not the first one
+        a = ExactMatrix.from_rows(
+            [[0, 0, -2, 0], [-1, 0, 0, 0], [0, -3, 0, 1], [0, -3, -2, 1]]
+        )
+        assert rank(a) == 3
+        assert null_space(a) == [(0, 1, 0, 3)]
 
     def test_integer_back_substitution_rescales(self):
         # Each pivot fails to divide the sum it meets, so the integer
-        # vector is rescaled: once at the pivot 3 (and at -3), and twice in
-        # the last case, where the eager pivots are 4, -12 and -60.
+        # vector is rescaled: once at the pivot 3 (and at -3), and again at
+        # every pivot in the last case, where the pivots are 4, -3 and 5.
         assert null_space(ExactMatrix.from_rows([[3, 2]])) == [
             (Fraction(1), Fraction(-3, 2))
         ]
@@ -672,9 +649,7 @@ class TestRankAndKernel:
             (Fraction(1), Fraction(3, 2))
         ]
         a = ExactMatrix.from_rows([[4, 6, 0, 1], [0, -3, 2, 0], [0, 0, 5, 7]])
-        assert _bareiss_echelon(a)[0] == [
-            {0: 4, 1: 6, 3: 1}, {1: -12, 2: 8}, {2: -60, 3: -84}
-        ]
+        assert _echelon(a)[0] == [{0: 4, 1: 6, 3: 1}, {1: -3, 2: 2}, {2: 5, 3: 7}]
         (v,) = null_space(a)
         assert v == (1, Fraction(-56, 69), Fraction(-28, 23), Fraction(20, 23))
         assert all(type(x) is Fraction for x in v)
@@ -703,29 +678,21 @@ class TestRankAndKernel:
 
     @settings(max_examples=200)
     @given(st.one_of(sparse_matrices(), signed_permutations()))
+    # the third row is reduced at columns 0 and 1 before it pivots at 2; the
+    # last is reduced at columns 0, 1 and 2 and reaches zero
+    @example(
+        ExactMatrix.from_rows(
+            [
+                [1, 1, 0, 0],
+                [0, 1, 1, 0],
+                [1, 0, 0, 1],
+                [Fraction(1, 2), 0, Fraction(1, 2), 1],
+            ]
+        )
+    )
     def test_sparse_engine_matches_naive_elimination(self, a):
         assert rank(a) == naive_rank(a)
         assert null_space(a) == naive_null_space(a)
-        assert _bareiss_echelon(a) == eager_bareiss(a)
-
-    def test_lazy_rescale_matches_eager_values(self):
-        # pivots -1, 3, -3; the first row skips two rescales before it
-        # pivots, the third and the last (first + third) one before they
-        # are read
-        a = ExactMatrix.from_rows(
-            [[0, 0, -2, 0], [-1, 0, 0, 0], [0, -3, 0, 1], [0, -3, -2, 1]]
-        )
-        assert _bareiss_echelon(a) == (
-            [{0: -1}, {1: 3, 3: -1}, {2: -3}], [0, 1, 2]
-        )
-        assert rank(a) == 3
-        assert null_space(a) == [(0, 1, 0, 3)]
-
-    def test_pivot_is_first_in_swapped_order(self):
-        # The swap at column 0 moves row 0 below row 1, so row 1 pivots at
-        # column 1; a search by lowest original index would take row 0.
-        a = ExactMatrix.from_rows([[0, 1], [0, -1], [1, 0]])
-        assert _bareiss_echelon(a) == eager_bareiss(a) == ([{0: 1}, {1: -1}], [0, 1])
 
     @settings(max_examples=40)
     @given(matrices(max_dim=4), matrices(max_dim=4))

@@ -11,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2forms.forms import canonical_form, evaluate, tensor_form
-from sl2forms.modules import ModuleVector, act, tensor_of_irreducibles, weight_space_basis
+from sl2forms.modules import (
+    ModuleVector,
+    act,
+    tensor_of_irreducibles,
+    weight_space_indices,
+)
 from sl2forms.omega import (
     InconsistencyError,
     b_closed_form,
@@ -46,6 +51,16 @@ def mnk_triples(max_mn=6):
 def term(module, name):
     """Coordinate index of a named tensor basis vector."""
     return module.basis_names.index(name)
+
+
+def weight_space_basis(module, w):
+    """The standard basis vectors of weight w, in basis order."""
+    out = []
+    for j in weight_space_indices(module, w):
+        coords = [0] * module.dim
+        coords[j] = 1
+        out.append(ModuleVector(module, tuple(coords)))
+    return out
 
 
 class TestBClosedForm:

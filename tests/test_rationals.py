@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sl2forms.rationals import (
-    binomial,
     factorial,
     parse_rational,
     reciprocal_factorial,
@@ -32,29 +31,6 @@ class TestFactorial:
     @given(st.integers(min_value=1, max_value=200))
     def test_recurrence(self, n):
         assert factorial(n) == n * factorial(n - 1)
-
-
-class TestBinomial:
-    def test_frozen_values(self):
-        # oracle: Pascal triangle row 4 is 1 4 6 4 1
-        row = [1]
-        for _ in range(4):
-            row = [a + b for a, b in zip([0] + row, row + [0])]
-        assert row[2] == 6
-        assert binomial(4, 2) == 6
-        assert binomial(5, 0) == 1
-        assert binomial(3, 5) == 0
-        assert binomial(3, -1) == 0
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            binomial(-2, 1)
-
-    @given(st.integers(min_value=0, max_value=60), st.integers(min_value=-5, max_value=65))
-    def test_symmetry_and_factorial_identity(self, n, k):
-        assert binomial(n, k) == binomial(n, n - k)
-        if 0 <= k <= n:
-            assert binomial(n, k) * factorial(k) * factorial(n - k) == factorial(n)
 
 
 class TestReciprocalFactorial:
