@@ -7,125 +7,57 @@ every quantity by two independent routes that must agree exactly.  A
 terminating-hypergeometric layer verifies the factorial identity
 (Karlsson-Minton) underlying the ω_k sign pattern, again exactly and
 exhaustively over parameter grids.
+
+Importing the package loads none of its layers: each name in `__all__` is
+imported from its home module on first access (PEP 562), so a command-line
+run loads only the layers its subcommand calls.
 """
 
-from .forms import (
-    BilinearForm,
-    StarFormReport,
-    canonical_form,
-    evaluate,
-    is_star_form,
-    structure_of,
-    tensor_form,
-)
-from .hypergeom import (
-    HypergeomSpec,
-    IllDefinedSeriesError,
-    KMParams,
-    KMSweepReport,
-    UnsupportedMappingError,
-    eval_3f2_terminating,
-    km_check,
-    km_range_verify,
-    km_sum,
-    series_route_verify,
-    to_3f2,
-)
-from .linalg import ExactMatrix, apply_power, mat_vec, null_space, rank
-from .modules import (
-    DecompositionReport,
-    ModuleVector,
-    RelationReport,
-    WeightModule,
-    act,
-    check_relations,
-    decompose,
-    format_vector,
-    irreducible,
-    perturbed,
-    tensor_of_irreducibles,
-    tensor_product,
-    weight_space_indices,
-)
-from .omega import (
-    InconsistencyError,
-    OmegaReport,
-    OmegaRow,
-    SignAlternationReport,
-    b_closed_form,
-    check_sign_alternation,
-    omega_closed,
-    omega_table,
-    omega_value,
-    x_power_b_brute,
-    x_power_b_closed,
-    y_annihilates,
-    y_kernel_singular,
-)
-from .rationals import (
-    factorial,
-    parse_rational,
-    reciprocal_factorial,
-    sign,
-)
-from .verify import SuiteResult, verify_all
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BilinearForm",
-    "DecompositionReport",
-    "ExactMatrix",
-    "HypergeomSpec",
-    "IllDefinedSeriesError",
-    "InconsistencyError",
-    "KMParams",
-    "KMSweepReport",
-    "ModuleVector",
-    "OmegaReport",
-    "OmegaRow",
-    "RelationReport",
-    "SignAlternationReport",
-    "StarFormReport",
-    "SuiteResult",
-    "UnsupportedMappingError",
-    "WeightModule",
-    "act",
-    "apply_power",
-    "b_closed_form",
-    "canonical_form",
-    "check_relations",
-    "check_sign_alternation",
-    "decompose",
-    "eval_3f2_terminating",
-    "evaluate",
-    "factorial",
-    "format_vector",
-    "irreducible",
-    "is_star_form",
-    "km_check",
-    "km_range_verify",
-    "km_sum",
-    "mat_vec",
-    "null_space",
-    "omega_closed",
-    "omega_table",
-    "omega_value",
-    "parse_rational",
-    "perturbed",
-    "rank",
-    "reciprocal_factorial",
-    "series_route_verify",
-    "sign",
-    "structure_of",
-    "tensor_form",
-    "tensor_of_irreducibles",
-    "tensor_product",
-    "to_3f2",
-    "verify_all",
-    "weight_space_indices",
-    "x_power_b_brute",
-    "x_power_b_closed",
-    "y_annihilates",
-    "y_kernel_singular",
-]
+# Home module of every public name.
+_EXPORTS = {
+    "forms": (
+        "BilinearForm", "StarFormReport", "canonical_form", "evaluate",
+        "is_star_form", "structure_of", "tensor_form",
+    ),
+    "hypergeom": (
+        "HypergeomSpec", "IllDefinedSeriesError", "KMParams", "KMSweepReport",
+        "UnsupportedMappingError", "eval_3f2_terminating", "km_check",
+        "km_range_verify", "km_sum", "series_route_verify", "to_3f2",
+    ),
+    "linalg": ("ExactMatrix", "apply_power", "mat_vec", "null_space", "rank"),
+    "modules": (
+        "DecompositionReport", "ModuleVector", "RelationReport", "WeightModule",
+        "act", "check_relations", "decompose", "format_vector", "irreducible",
+        "perturbed", "tensor_of_irreducibles", "tensor_product",
+        "weight_space_indices",
+    ),
+    "omega": (
+        "InconsistencyError", "OmegaReport", "OmegaRow", "SignAlternationReport",
+        "b_closed_form", "check_sign_alternation", "omega_closed", "omega_table",
+        "omega_value", "x_power_b_brute", "x_power_b_closed", "y_annihilates",
+        "y_kernel_singular",
+    ),
+    "rationals": ("factorial", "parse_rational", "reciprocal_factorial", "sign"),
+    "verify": ("SuiteResult", "verify_all"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -5,6 +5,11 @@ computations plus the verification sweeps, as human-readable text or as
 JSON with a stable schema.  Exit codes: 0 success, 1 verification failure,
 2 usage error.  Timing goes to stderr so identical arguments always
 produce byte-identical stdout.
+
+Each `cmd_*` function imports the layers it calls when it runs, so a
+process loads only what its subcommand needs: `verify-km` never loads the
+matrix, module, form or ω layers, and `decompose` never loads `hypergeom`,
+`omega` or `verify`.
 """
 
 from __future__ import annotations
@@ -14,20 +19,13 @@ import json
 import sys
 import time
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .hypergeom import km_range_verify, series_route_verify
-from .modules import decompose, format_vector, tensor_of_irreducibles
-from .omega import (
-    InconsistencyError,
-    b_closed_form,
-    check_sign_alternation,
-    y_annihilates,
-    y_kernel_singular,
-)
 from .parallel import default_jobs
 from .rationals import parse_rational
-from .verify import SuiteResult, verify_all, verify_star
+
+if TYPE_CHECKING:
+    from .verify import SuiteResult
 
 _SIGN_CHAR = {1: "+", -1: "-", 0: "0"}
 
@@ -136,6 +134,8 @@ def _emit_json(payload) -> None:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
+    from .modules import decompose, tensor_of_irreducibles
+
     report = decompose(tensor_of_irreducibles(args.m, args.n))
     if args.format == "json":
         _emit_json({"summands": [[j, mult] for j, mult in report.summands]})
@@ -148,6 +148,14 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_singular_vector(args: argparse.Namespace) -> int:
+    from .modules import format_vector, tensor_of_irreducibles
+    from .omega import (
+        InconsistencyError,
+        b_closed_form,
+        y_annihilates,
+        y_kernel_singular,
+    )
+
     m, n, k = args.m, args.n, args.k
     module = tensor_of_irreducibles(m, n)
     b = b_closed_form(m, n, k)
@@ -176,6 +184,8 @@ def cmd_singular_vector(args: argparse.Namespace) -> int:
 
 
 def cmd_omega_table(args: argparse.Namespace) -> int:
+    from .omega import InconsistencyError, check_sign_alternation
+
     try:
         report = check_sign_alternation(args.m, args.n, args.q, args.r)
     except InconsistencyError as exc:
@@ -204,6 +214,8 @@ def cmd_omega_table(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_km(args: argparse.Namespace) -> int:
+    from .hypergeom import km_range_verify, series_route_verify
+
     direct = km_range_verify(args.max)
     series = series_route_verify(args.max)
     failures = [list(t) for t in direct.failures + series.failures]
@@ -242,10 +254,14 @@ def _emit_suites(args: argparse.Namespace, suites: Sequence[SuiteResult]) -> int
 
 
 def cmd_verify_star(args: argparse.Namespace) -> int:
+    from .verify import verify_star
+
     return _emit_suites(args, verify_star(args.max, args.q, args.r, jobs=args.jobs))
 
 
 def cmd_verify_all(args: argparse.Namespace) -> int:
+    from .verify import verify_all
+
     suites = verify_all(
         args.max, args.q, args.r, jobs=args.jobs, corrupt=args.debug_corrupt
     )

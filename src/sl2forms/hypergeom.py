@@ -31,14 +31,24 @@ This parameterization is derived here, not quoted from anywhere;
 the series route shares no code with the direct sum.  `to_3f2` refuses the
 n+l-2k < 0 case rather than patching prefactors.
 
-Both sweeps walk plain (k, l, m, n) int tuples and carry only integers;
-neither builds a `KMParams`, `Fraction` or `HypergeomSpec` per tuple.
-`km_range_verify` compares `_km_scaled` with ±k! from a factorial table
-built once per sweep.  `series_route_verify` takes the integer parameters
-and the prefactor t₀, an unreduced pair of factorial products, from
-`_series_map`, sums the series with `_series_pair`, and compares the two
-pairs by cross-multiplication.  `km_scaled_sum`, `admissible_tuples`,
-`to_3f2` and `eval_3f2_terminating` wrap the same cores.
+Both sweeps walk plain (k, l, m, n) int tuples in one fixed order and
+carry only integers; neither builds a record per tuple.  Each builds its
+tables once per sweep, sized by the bound, and every public wrapper runs
+the same core on tables sized by its tuple:
+
+- Direct route.  `_km_tables` holds falling[j][x] = perm(x, j) and the
+  signed binomial rows (-1)^i C(k, i).  `_km_scaled` forms one tuple's
+  sum as a dot product of the row signed[k] with two slices of
+  falling-factorial rows, perm(m-i, l) read backwards from falling[l] and
+  perm(n-k+i, k-l) read forwards from falling[k-l].  `km_range_verify`
+  compares it with ±k! from a factorial table; `km_scaled_sum`, `km_sum`
+  and `km_check` wrap the same core.
+- Series route.  `_series_map` gives the integer parameters and the
+  prefactor t₀, an unreduced pair of products of entries of a factorial
+  table (never `perm`, so the routes share no arithmetic).
+  `series_route_verify` sums the series with `_series_pair` and compares
+  the two pairs by cross-multiplication; `to_3f2` wraps `_series_map`
+  and `eval_3f2_terminating` wraps `_series_pair`.
 
 `_series_pair` reads every parameter p/q (an int is p/1) once as an
 integer pair: the Pochhammer factor a+i is (p + i·q)/q, so each term ratio
@@ -48,11 +58,11 @@ summed by Horner's rule on one integer numerator/denominator pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, perm
 from numbers import Rational
-from typing import Iterable, Iterator, Optional, Sequence
+from operator import mul
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .rationals import factorial
 
@@ -65,41 +75,56 @@ class IllDefinedSeriesError(ValueError):
     """A lower Pochhammer factor vanishes at or before the truncation index."""
 
 
-@dataclass(frozen=True)
-class KMParams:
-    """Integer parameters with 0 ≤ l ≤ k ≤ min(m, n)."""
-
+# The records are NamedTuples, not dataclasses: importing `dataclasses`
+# loads `inspect`, `ast` and `dis`, which `verify-km` otherwise never needs.
+# A record subclasses its field tuple so that `__new__` can validate.
+class _KMFields(NamedTuple):
     k: int
     l: int
     m: int
     n: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.l <= self.k <= min(self.m, self.n):
+
+class KMParams(_KMFields):
+    """Integer parameters with 0 ≤ l ≤ k ≤ min(m, n)."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, l: int, m: int, n: int) -> KMParams:
+        if not 0 <= l <= k <= min(m, n):
             raise ValueError(
-                f"need 0 <= l <= k <= min(m, n); got k={self.k}, l={self.l}, "
-                f"m={self.m}, n={self.n}"
+                f"need 0 <= l <= k <= min(m, n); got k={k}, l={l}, m={m}, n={n}"
             )
+        return super().__new__(cls, k, l, m, n)
 
 
-@dataclass(frozen=True)
-class HypergeomSpec:
+class _HypergeomFields(NamedTuple):
+    upper: tuple[Fraction, Fraction, Fraction]
+    lower: tuple[Fraction, Fraction]
+    argument: Fraction
+
+
+class HypergeomSpec(_HypergeomFields):
     """A ₃F₂ series: three upper parameters, two lower, one argument.
 
     At least one upper parameter must be a non-positive integer so the
     series terminates.
     """
 
-    upper: tuple[Fraction, Fraction, Fraction]
-    lower: tuple[Fraction, Fraction]
-    argument: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if _truncation_index(self.upper) is None:
+    def __new__(
+        cls,
+        upper: tuple[Fraction, Fraction, Fraction],
+        lower: tuple[Fraction, Fraction],
+        argument: Fraction,
+    ) -> HypergeomSpec:
+        if _truncation_index(upper) is None:
             raise ValueError(
                 "series does not terminate: no upper parameter is a "
                 "non-positive integer"
             )
+        return super().__new__(cls, upper, lower, argument)
 
     @property
     def truncation_index(self) -> int:
@@ -107,8 +132,7 @@ class HypergeomSpec:
         return _truncation_index(self.upper)
 
 
-@dataclass(frozen=True)
-class KMSweepReport:
+class KMSweepReport(NamedTuple):
     """Exhaustive check of the identity for all admissible tuples, m,n ≤ bound."""
 
     bound: int
@@ -120,18 +144,37 @@ class KMSweepReport:
         return not self.failures
 
 
-def _km_scaled(k: int, l: int, m: int, n: int) -> int:
-    """k! times the left-hand sum of the tuple (k, l, m, n), in integers."""
-    total = 0
-    for i in range(k + 1):
-        term = comb(k, i) * perm(m - i, l) * perm(n - k + i, k - l)
-        total += -term if i & 1 else term
-    return total
+def _factorials(top: int) -> list[int]:
+    """[0!, 1!, …, top!]."""
+    return [factorial(j) for j in range(top + 1)]
+
+
+def _km_tables(top: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The direct route's tables for every tuple with m, n ≤ top:
+    falling[j][x] = perm(x, j) and signed[k][i] = (-1)^i C(k, i)."""
+    falling = [[perm(x, j) for x in range(top + 1)] for j in range(top + 1)]
+    signed = [
+        [-comb(k, i) if i & 1 else comb(k, i) for i in range(k + 1)]
+        for k in range(top + 1)
+    ]
+    return falling, signed
+
+
+def _km_scaled(
+    falling: list[list[int]], signed: list[list[int]], k: int, l: int, m: int, n: int
+) -> int:
+    """k! times the left-hand sum of the tuple (k, l, m, n), in integers:
+    Σᵢ signed[k][i]·perm(m-i, l)·perm(n-k+i, k-l) over i = 0..k."""
+    return sum(map(
+        mul,
+        map(mul, signed[k], falling[l][m - k:m + 1][::-1]),
+        falling[k - l][n - k:n + 1],
+    ))
 
 
 def km_scaled_sum(p: KMParams) -> int:
     """k! times the left-hand sum, in integers (expected: (-1)^{k+l} k!)."""
-    return _km_scaled(p.k, p.l, p.m, p.n)
+    return _km_scaled(*_km_tables(max(p.m, p.n)), *p)
 
 
 def km_sum(p: KMParams) -> Fraction:
@@ -163,13 +206,16 @@ def km_range_verify(bound: int) -> KMSweepReport:
     """Run km_check on every admissible tuple with m, n ≤ bound."""
     if bound < 0:
         raise ValueError(f"bound must be nonnegative (got {bound})")
-    facts = [factorial(k) for k in range(bound + 1)]
+    falling, signed = _km_tables(bound)
+    facts = _factorials(bound)
     count = 0
     failures = []
     for t in _tuples(bound):
         count += 1
         k, l, m, n = t
-        if _km_scaled(k, l, m, n) != (-facts[k] if (k + l) & 1 else facts[k]):
+        if _km_scaled(falling, signed, k, l, m, n) != (
+            -facts[k] if (k + l) & 1 else facts[k]
+        ):
             failures.append(t)
     return KMSweepReport(bound=bound, tuples=count, failures=tuple(failures))
 
@@ -182,6 +228,7 @@ def series_route_verify(bound: int) -> KMSweepReport:
     """
     if bound < 0:
         raise ValueError(f"bound must be nonnegative (got {bound})")
+    facts = _factorials(bound)
     count = 0
     failures = []
     for t in _tuples(bound):
@@ -189,7 +236,7 @@ def series_route_verify(bound: int) -> KMSweepReport:
         if n + l - 2 * k < 0:
             continue
         count += 1
-        upper, lower, (pre_num, pre_den) = _series_map(k, l, m, n)
+        upper, lower, (pre_num, pre_den) = _series_map(facts, k, l, m, n)
         num, den = _series_pair(upper, lower, 1)
         # prefactor·num/den = (-1)^{k+l}, cross-multiplied
         if (k + l) & 1:
@@ -200,10 +247,11 @@ def series_route_verify(bound: int) -> KMSweepReport:
 
 
 def _series_map(
-    k: int, l: int, m: int, n: int
+    facts: Sequence[int], k: int, l: int, m: int, n: int
 ) -> tuple[tuple[int, int, int], tuple[int, int], tuple[int, int]]:
     """The ₃F₂ restatement of the tuple: integer upper and lower parameters,
-    and the prefactor t₀ as an unreduced pair (num, den) of factorials."""
+    and the prefactor t₀ as an unreduced pair (num, den) of factorials,
+    read from facts[j] = j! for j ≤ max(m, n)."""
     shift = n + l - 2 * k
     if shift < 0:
         raise UnsupportedMappingError(
@@ -213,10 +261,7 @@ def _series_map(
     return (
         (-k, n - k + 1, l - m),
         (-m, shift + 1),
-        (
-            factorial(m) * factorial(n - k),
-            factorial(k) * factorial(m - l) * factorial(shift),
-        ),
+        (facts[m] * facts[n - k], facts[k] * facts[m - l] * facts[shift]),
     )
 
 
@@ -226,7 +271,7 @@ def to_3f2(p: KMParams) -> tuple[HypergeomSpec, Fraction]:
     Requires n+l-2k ≥ 0 so the i = 0 summand is nonzero; the excluded case
     is covered by km_sum directly.
     """
-    upper, lower, prefactor = _series_map(p.k, p.l, p.m, p.n)
+    upper, lower, prefactor = _series_map(_factorials(max(p.m, p.n)), *p)
     spec = HypergeomSpec(
         upper=tuple(map(Fraction, upper)),
         lower=tuple(map(Fraction, lower)),
@@ -238,10 +283,11 @@ def to_3f2(p: KMParams) -> tuple[HypergeomSpec, Fraction]:
 def _truncation_index(upper: Iterable[Rational]) -> Optional[int]:
     """Smallest |a| over the non-positive-integer upper parameters, or None
     when there is none and the series does not terminate."""
-    return min(
-        (-a.numerator for a in upper if a.denominator == 1 and a.numerator <= 0),
-        default=None,
-    )
+    t = None
+    for a in upper:
+        if a.denominator == 1 and a.numerator <= 0 and (t is None or -a.numerator < t):
+            t = -a.numerator
+    return t
 
 
 def _pochhammer_numerators(a: Rational, t: int) -> range:
@@ -267,30 +313,35 @@ def _series_pair(
     """The series of `eval_3f2_terminating` with parameters given as ints or
     `Fraction`s, as an unreduced integer pair (num, den), den != 0.
 
-    The upper parameters must include a non-positive integer."""
+    The upper parameters must include a non-positive integer; T is the
+    truncation index.  Before any term is formed, the numerators of the
+    lower factors b₁+i and b₂+i, i < T, are searched for a zero, and the
+    earliest one raises IllDefinedSeriesError.  Horner's rule,
+    1 + r₀(1 + r₁(… (1 + r_{T-1}))), then runs over the factors from the
+    last term ratio r_{T-1} back to r₀ on one integer pair acc_num/acc_den.
+    """
     t = _truncation_index(upper)
     (a1, a2, a3), (b1, b2) = upper, lower
+    ys1, ys2 = _pochhammer_numerators(b1, t), _pochhammer_numerators(b2, t)
+    i1 = ys1.index(0) if 0 in ys1 else t
+    i2 = ys2.index(0) if 0 in ys2 else t
+    if min(i1, i2) < t:
+        i, b = (i1, b1) if i1 <= i2 else (i2, b2)
+        raise IllDefinedSeriesError(
+            f"lower parameter {b} hits zero at index {i + 1} "
+            f"(truncation index {t})"
+        )
     num_scale = z.numerator * b1.denominator * b2.denominator
     den_scale = z.denominator * a1.denominator * a2.denominator * a3.denominator
-    ratios = []
-    for i, (x1, x2, x3, y1, y2) in enumerate(zip(
-        _pochhammer_numerators(a1, t),
-        _pochhammer_numerators(a2, t),
-        _pochhammer_numerators(a3, t),
-        _pochhammer_numerators(b1, t),
-        _pochhammer_numerators(b2, t),
-    )):
-        den = y1 * y2
-        if not den:
-            b = b1 if not y1 else b2
-            raise IllDefinedSeriesError(
-                f"lower parameter {b} hits zero at index {i + 1} "
-                f"(truncation index {t})"
-            )
-        ratios.append((num_scale * x1 * x2 * x3, den * den_scale * (i + 1)))
-    # Horner's rule, 1 + r₀(1 + r₁(… (1 + r_{T-1}))), on the pair acc_num/acc_den
     acc_num = acc_den = 1
-    for num, den in reversed(ratios):
-        acc_den *= den
-        acc_num = acc_den + num * acc_num
+    for j, x1, x2, x3, y1, y2 in zip(
+        range(t, 0, -1),
+        reversed(_pochhammer_numerators(a1, t)),
+        reversed(_pochhammer_numerators(a2, t)),
+        reversed(_pochhammer_numerators(a3, t)),
+        reversed(ys1),
+        reversed(ys2),
+    ):
+        acc_den *= den_scale * y1 * y2 * j
+        acc_num = acc_den + num_scale * x1 * x2 * x3 * acc_num
     return acc_num, acc_den

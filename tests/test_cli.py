@@ -249,3 +249,34 @@ def test_stdout_matches_golden(name, args, code):
     proc = subprocess.run(BASE + args, capture_output=True, timeout=300)
     assert proc.returncode == code
     assert proc.stdout == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+# Runs `python -m sl2forms ARGS` in this interpreter, then prints the names
+# of every loaded module as the last stdout line.
+LOADED_AFTER = """\
+import json, runpy, sys
+sys.argv[0] = "sl2forms"
+try:
+    runpy.run_module("sl2forms", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("args, loaded, absent", [
+    (["verify-km", "--max", "2"], ["sl2forms.hypergeom"],
+     ["dataclasses", "sl2forms.linalg", "sl2forms.modules", "sl2forms.forms",
+      "sl2forms.omega", "sl2forms.verify"]),
+    (["decompose", "0", "0"], ["sl2forms.modules"],
+     ["sl2forms.hypergeom", "sl2forms.omega", "sl2forms.verify"]),
+], ids=["verify-km", "decompose"])
+def test_cold_run_loads_only_the_subcommands_layers(args, loaded, absent):
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_AFTER, *args],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert set(loaded) <= modules
+    assert not modules & set(absent)

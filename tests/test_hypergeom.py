@@ -3,10 +3,11 @@ series restatement, and consistency with the tensor-module computation
 (which derives the same sum without ever invoking the identity)."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sl2forms import hypergeom
@@ -112,6 +113,64 @@ class TestKMParams:
             KMParams(k=1, l=2, m=3, n=3)
         with pytest.raises(ValueError):
             KMParams(k=0, l=0, m=-1, n=0)
+
+
+class TestRecords:
+    """KMParams, HypergeomSpec and KMSweepReport are immutable value records
+    that the process pool can pickle."""
+
+    SPEC = HypergeomSpec(
+        upper=(Fraction(-2), Fraction(1, 2), Fraction(1)),
+        lower=(Fraction(3), Fraction(1)),
+        argument=Fraction(-1, 3),
+    )
+
+    def test_invalid_input_messages(self):
+        with pytest.raises(ValueError) as raised:
+            KMParams(3, 0, 2, 5)
+        assert str(raised.value) == (
+            "need 0 <= l <= k <= min(m, n); got k=3, l=0, m=2, n=5"
+        )
+        with pytest.raises(ValueError) as raised:
+            HypergeomSpec(
+                upper=(Fraction(1), Fraction(2), Fraction(1, 2)),
+                lower=(Fraction(1), Fraction(1)),
+                argument=Fraction(1),
+            )
+        assert str(raised.value) == (
+            "series does not terminate: no upper parameter is a "
+            "non-positive integer"
+        )
+
+    def test_repr(self):
+        assert repr(KMParams(k=2, l=1, m=3, n=4)) == "KMParams(k=2, l=1, m=3, n=4)"
+        assert repr(self.SPEC) == (
+            "HypergeomSpec(upper=(Fraction(-2, 1), Fraction(1, 2), "
+            "Fraction(1, 1)), lower=(Fraction(3, 1), Fraction(1, 1)), "
+            "argument=Fraction(-1, 3))"
+        )
+        assert repr(km_range_verify(1)) == (
+            "KMSweepReport(bound=1, tuples=6, failures=())"
+        )
+
+    @pytest.mark.parametrize("record, field", [
+        (KMParams(k=2, l=1, m=3, n=4), "k"),
+        (SPEC, "upper"),
+        (km_range_verify(2), "tuples"),
+    ], ids=["KMParams", "HypergeomSpec", "KMSweepReport"])
+    def test_immutable_hashable_and_picklable(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(record, protocol))
+            assert type(copy) is type(record) and copy == record
+            assert hash(copy) == hash(record)
+
+    def test_keyword_construction_and_tuple_equality(self):
+        p = KMParams(k=2, l=1, m=3, n=4)
+        assert (p.k, p.l, p.m, p.n) == (2, 1, 3, 4) == p
+        assert self.SPEC.truncation_index == 2
+        assert km_range_verify(1).ok
 
 
 class TestKMSum:
@@ -267,6 +326,12 @@ class TestEval3F2:
 
     @settings(max_examples=300)
     @given(terminating_specs())
+    # Both lower parameters vanish before truncation, b₂ = 0 first.
+    @example(HypergeomSpec(
+        upper=(Fraction(-2), Fraction(1), Fraction(1)),
+        lower=(Fraction(-1), Fraction(0)),
+        argument=Fraction(0),
+    ))
     def test_matches_naive_pochhammer_evaluation(self, spec):
         try:
             expected = naive_3f2(spec)
@@ -378,9 +443,10 @@ class TestIntegerCores:
         assert tuples == lexicographic
 
     def test_direct_core_and_sweep_match_km_scaled_sum(self):
+        tables = hypergeom._km_tables(self.BOUND)
         failures = []
         for p in admissible_tuples(self.BOUND):
-            assert hypergeom._km_scaled(p.k, p.l, p.m, p.n) == km_scaled_sum(p)
+            assert hypergeom._km_scaled(*tables, p.k, p.l, p.m, p.n) == km_scaled_sum(p)
             if not km_check(p):
                 failures.append((p.k, p.l, p.m, p.n))
         report = km_range_verify(self.BOUND)
@@ -388,14 +454,15 @@ class TestIntegerCores:
         assert report.tuples == len(list(admissible_tuples(self.BOUND)))
 
     def test_series_cores_and_sweep_match_to_3f2_and_eval(self):
+        facts = hypergeom._factorials(self.BOUND)
         count, failures = 0, []
         for p in admissible_tuples(self.BOUND):
             t = (p.k, p.l, p.m, p.n)
             if p.n + p.l - 2 * p.k < 0:
                 with pytest.raises(UnsupportedMappingError):
-                    hypergeom._series_map(*t)
+                    hypergeom._series_map(facts, *t)
                 continue
-            upper, lower, (num, den) = hypergeom._series_map(*t)
+            upper, lower, (num, den) = hypergeom._series_map(facts, *t)
             assert all(type(x) is int for x in (*upper, *lower, num, den))
             spec, prefactor = to_3f2(p)
             assert (spec.upper, spec.lower, spec.argument) == (upper, lower, 1)
