@@ -6,6 +6,7 @@ JSON with a stable schema.  Exit codes: 0 success, 1 verification failure,
 2 usage error.  Timing goes to stderr so identical arguments always
 produce byte-identical stdout.
 
+Each subparser names its `cmd_*` handler as `run`, and `main` calls it.
 Each `cmd_*` function imports the layers it calls when it runs, so a
 process loads only what its subcommand needs: `verify-km` never loads the
 matrix, module, form or ω layers, and `decompose` never loads `hypergeom`,
@@ -30,11 +31,14 @@ if TYPE_CHECKING:
 _SIGN_CHAR = {1: "+", -1: "-", 0: "0"}
 
 
-def _rational_arg(text: str) -> Fraction:
+def _nonzero_rational(text: str) -> Fraction:
     try:
-        return parse_rational(text)
+        value = parse_rational(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if not value:
+        raise argparse.ArgumentTypeError(f"must be nonzero: {text}")
+    return value
 
 
 def _int_at_least(text: str, lowest: int, what: str) -> int:
@@ -63,9 +67,9 @@ def _add_format(p: argparse.ArgumentParser) -> None:
 
 
 def _add_qr(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--q", type=_rational_arg, default=Fraction(1),
+    p.add_argument("--q", type=_nonzero_rational, default=Fraction(1),
                    help="form constant on the left factor (rational, default 1)")
-    p.add_argument("--r", type=_rational_arg, default=Fraction(1),
+    p.add_argument("--r", type=_nonzero_rational, default=Fraction(1),
                    help="form constant on the right factor (rational, default 1)")
 
 
@@ -89,12 +93,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="decompose V_m⊗V_n into irreducibles")
+    p.set_defaults(run=cmd_decompose)
     p.add_argument("m", type=_nonneg)
     p.add_argument("n", type=_nonneg)
     _add_format(p)
 
     p = sub.add_parser("singular-vector",
                        help="the Y-kernel vector of weight -(m+n-2k)")
+    p.set_defaults(run=cmd_singular_vector)
     p.add_argument("m", type=_nonneg)
     p.add_argument("n", type=_nonneg)
     p.add_argument("k", type=_nonneg)
@@ -102,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("omega-table",
                        help="ω_k(b,b) for k = 0..min(m,n) with sign verdict")
+    p.set_defaults(run=cmd_omega_table)
     p.add_argument("m", type=_nonneg)
     p.add_argument("n", type=_nonneg)
     _add_qr(p)
@@ -109,16 +116,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-km",
                        help="sweep the factorial identity and its series form")
+    p.set_defaults(run=cmd_verify_km)
     _add_max(p)
     _add_format(p)
 
     p = sub.add_parser("verify-star",
                        help="sweep bracket relations and *-form compatibility")
+    p.set_defaults(run=cmd_verify_star)
     _add_sweep(p)
     _add_qr(p)
     _add_format(p)
 
     p = sub.add_parser("verify-all", help="run every verification suite")
+    p.set_defaults(run=cmd_verify_all)
     _add_sweep(p)
     _add_qr(p)
     _add_format(p)
@@ -268,25 +278,12 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
     return _emit_suites(args, suites)
 
 
-_DISPATCH = {
-    "decompose": cmd_decompose,
-    "singular-vector": cmd_singular_vector,
-    "omega-table": cmd_omega_table,
-    "verify-km": cmd_verify_km,
-    "verify-star": cmd_verify_star,
-    "verify-all": cmd_verify_all,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("omega-table", "verify-star", "verify-all"):
-        if not args.q or not args.r:
-            parser.error("q and r must be nonzero")
     if args.command == "singular-vector" and args.k > min(args.m, args.n):
         parser.error(f"k must be at most min(m, n) = {min(args.m, args.n)}")
     t0 = time.perf_counter()
-    code = _DISPATCH[args.command](args)
+    code = args.run(args)
     print(f"[time] total: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return code

@@ -7,9 +7,10 @@ nondegenerate symmetric form Q satisfying
 
 is what the rest of the package calls a *-module.  On an irreducible V_m
 the compatible forms are exactly the anti-diagonal-constant ones,
-Q(e_i, e_{-i}) = q for every weight i and zero otherwise: `canonical_form`
-constructs that representative and `structure_of` recognizes it, so the
-two directions of the classification can be certified independently.
+Q(e_i, e_{-i}) = q for every weight i and zero otherwise.  `canonical_form`
+constructs that representative, `is_star_form` checks that it is
+compatible, and `structure_of` recognizes its shape.  The converse, that
+every compatible form has this shape, is not computed here.
 
 Tensor modules inherit (Q⊗R)(a⊗b, a'⊗b') = Q(a,a')·R(b,b'), a Kronecker
 pairing of Gram matrices in the lexicographic tensor basis.

@@ -14,7 +14,6 @@ from typing import Union
 Scalar = Union[int, Fraction]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def factorial(n: int) -> int:

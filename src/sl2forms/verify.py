@@ -106,9 +106,11 @@ def _omega_pair(m: int, n: int, q: Fraction, r: Fraction) -> list[str]:
     return [f"V_{m}⊗V_{n} q={q} r={r}: signs {signs}"]
 
 
-# The per-pair suites in stream order.  star-forms and x-power run before
-# omega-signs, so the ω brute route finds the pair's Q⊗R and every X^{s_k}b
-# in their caches.
+# The per-pair suites in stream order.  The ω brute route shares the pair's
+# Q⊗R with star-forms and each X^{s_k}b with x-power because all three run
+# in one pair task: whichever runs first fills the cache.
+# The X^{s_k}b cache holds a whole pair only while min(m, n) < 32 (see
+# `omega.x_power_b_brute`).
 _PAIR_STEPS = {
     "relations": _relations_pair,
     "star-forms": _star_pair,
@@ -204,22 +206,22 @@ def sweep_x_power(bound: int, jobs: int = 1) -> SuiteResult:
     return _sweep(bound, ("x-power",), jobs=jobs)[0]
 
 
+def _km_suite(name: str, route, bound: int) -> SuiteResult:
+    """One Karlsson-Minton route's sweep, timed, as a suite."""
+    t0 = time.perf_counter()
+    report = route(bound)
+    failures = tuple(f"(k,l,m,n)={t}" for t in report.failures)
+    return SuiteResult(name, report.tuples, failures, time.perf_counter() - t0)
+
+
 def sweep_karlsson_minton(bound: int) -> SuiteResult:
     """The alternating factorial sum equals (-1)^{k+l} on the whole grid."""
-    t0 = time.perf_counter()
-    report = km_range_verify(bound)
-    failures = tuple(f"(k,l,m,n)={t}" for t in report.failures)
-    return SuiteResult(
-        "karlsson-minton", report.tuples, failures, time.perf_counter() - t0
-    )
+    return _km_suite("karlsson-minton", km_range_verify, bound)
 
 
 def sweep_series_route(bound: int) -> SuiteResult:
     """Terminating-series restatement reproduces the direct sum exactly."""
-    t0 = time.perf_counter()
-    report = series_route_verify(bound)
-    failures = tuple(f"(k,l,m,n)={t}" for t in report.failures)
-    return SuiteResult("3f2-route", report.tuples, failures, time.perf_counter() - t0)
+    return _km_suite("3f2-route", series_route_verify, bound)
 
 
 def sweep_omega_signs(

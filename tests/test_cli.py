@@ -1,14 +1,17 @@
 """CLI contract: output shapes, JSON schemas, exit codes, determinism.
 
 Each case runs the installed module in a subprocess, exactly as a user
-would."""
+would, except `TestParser`, which reads `build_parser()` in process."""
 
+import argparse
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from sl2forms import cli
 
 BASE = [sys.executable, "-m", "sl2forms"]
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -202,6 +205,28 @@ class TestUsage:
 
     def test_one_job_runs(self):
         assert run("verify-all", "--max", "1", "--jobs", "1").returncode == 0
+
+
+class TestParser:
+    def test_every_subcommand_has_a_handler(self):
+        parser = cli.build_parser()
+        action = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        for name, sub in action.choices.items():
+            assert callable(sub.get_default("run")), name
+
+    @pytest.mark.parametrize("args", [
+        ["omega-table", "1", "1"],
+        ["verify-star", "--max", "1"],
+        ["verify-all", "--max", "1"],
+    ], ids=lambda args: args[0])
+    @pytest.mark.parametrize("flag", ["--q", "--r"])
+    def test_zero_q_or_r_is_usage_error(self, args, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args + [flag, "0"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be nonzero: 0" in capsys.readouterr().err
 
 
 class TestFullVerificationScript:

@@ -63,6 +63,23 @@ class TestSuites:
         assert sweep_karlsson_minton(1).checks == 6
         assert sweep_omega_signs(2).checks == sweep_singular_vectors(2).checks
 
+    def test_verify_all_matches_the_suite_wrappers(self):
+        # verify_all runs one fused stream; each sweep_* wrapper runs its
+        # suite alone, and both must report the same checks and failures
+        q, r = Fraction(-3, 2), Fraction(5, 7)
+        wrappers = [
+            sweep_relations(3, corrupt=True),
+            sweep_star_forms(3, q, r),
+            sweep_decomposition(3),
+            sweep_singular_vectors(3),
+            sweep_x_power(3),
+            sweep_karlsson_minton(3),
+            sweep_series_route(3),
+            sweep_omega_signs(3, q, r),
+        ]
+        assert not wrappers[0].ok
+        assert strip_timing(verify_all(3, q, r, corrupt=True)) == strip_timing(wrappers)
+
     def test_negative_bound_rejected_before_any_suite(self, monkeypatch):
         def suite_ran(*args, **kwargs):
             raise AssertionError("a suite ran")
@@ -208,6 +225,17 @@ class TestStream:
         info = omega.x_power_b_brute.cache_info()
         assert info.hits == triples   # the ω brute route reads each vector
         assert info.currsize < triples
+
+    @pytest.mark.parametrize("m, names", [
+        (31, ("x-power", "omega-signs")),   # the largest pair the cache holds
+        (5, ("omega-signs", "x-power")),    # whichever suite runs first fills it
+    ], ids=["V31xV31", "omega-signs-first"])
+    def test_one_pair_task_computes_each_power_once(self, monkeypatch, m, names):
+        powers = count_calls(monkeypatch, omega, "apply_power")
+        cold_caches()
+        results = verify._pair((m, m), Fraction(-3, 2), Fraction(5, 7), names)
+        assert [(checks, failures) for checks, failures, _ in results] == [(m + 1, [])] * 2
+        assert len(powers) == m + 1
 
     def test_verify_star_builds_each_module_once(self, monkeypatch, capsys):
         maps = count_calls(monkeypatch, verify, "parallel_map")
