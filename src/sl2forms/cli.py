@@ -31,13 +31,37 @@ if TYPE_CHECKING:
 _SIGN_CHAR = {1: "+", -1: "-", 0: "0"}
 
 
+# q and r have numerator and denominator, in lowest terms, at most 10^1000
+# in absolute value.  Then every printed q and r has at most 1001 digits and
+# every ω of `omega-table m n` with m, n ≤ 200 at most 3,700, below Python's
+# default limit of 4,300 digits on converting an int to str.
+_QR_DIGITS = 1000
+_QR_LIMIT = 10**_QR_DIGITS
+
+
+def _exponent(text: str) -> int:
+    """E of a literal like 1.5e-3, and 0 when there is none or it is not an int."""
+    _, e, exponent = text.lower().partition("e")
+    try:
+        return int(exponent) if e else 0
+    except ValueError:
+        return 0
+
+
 def _nonzero_rational(text: str) -> Fraction:
+    too_big = f"numerator and denominator must be at most 10^{_QR_DIGITS}: {text}"
+    # Whatever its mantissa, a literal M·10^E with |E| > 1000 + len(text) is
+    # past the bound, so it is refused before Fraction computes 10^|E|.
+    if abs(_exponent(text)) > _QR_DIGITS + len(text):
+        raise argparse.ArgumentTypeError(too_big)
     try:
         value = parse_rational(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     if not value:
         raise argparse.ArgumentTypeError(f"must be nonzero: {text}")
+    if max(abs(value.numerator), value.denominator) > _QR_LIMIT:
+        raise argparse.ArgumentTypeError(too_big)
     return value
 
 

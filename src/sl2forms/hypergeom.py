@@ -34,15 +34,16 @@ n+l-2k < 0 case rather than patching prefactors.
 Both sweeps walk plain (k, l, m, n) int tuples in one fixed order and
 carry only integers; neither builds a record per tuple.  Each builds its
 tables once per sweep, sized by the bound, and every public wrapper runs
-the same core on tables sized by its tuple:
+the same core:
 
 - Direct route.  `_km_tables` holds falling[j][x] = perm(x, j) and the
   signed binomial rows (-1)^i C(k, i).  `_km_scaled` forms one tuple's
   sum as a dot product of the row signed[k] with two slices of
   falling-factorial rows, perm(m-i, l) read backwards from falling[l] and
   perm(n-k+i, k-l) read forwards from falling[k-l].  `km_range_verify`
-  compares it with ±k! from a factorial table; `km_scaled_sum`, `km_sum`
-  and `km_check` wrap the same core.
+  compares it with ±k! from a factorial table.  `km_scaled_sum`, `km_sum`
+  and `km_check` wrap the same core on one tuple, and build only the three
+  rows it reads: at most 2·(max(m, n)+1) `perm` calls.
 - Series route.  `_series_map` gives the integer parameters and the
   prefactor t₀, an unreduced pair of products of entries of a factorial
   table (never `perm`, so the routes share no arithmetic).
@@ -62,7 +63,7 @@ from fractions import Fraction
 from math import comb, perm
 from numbers import Rational
 from operator import mul
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .rationals import factorial
 
@@ -149,19 +150,22 @@ def _factorials(top: int) -> list[int]:
     return [factorial(j) for j in range(top + 1)]
 
 
-def _km_tables(top: int) -> tuple[list[list[int]], list[list[int]]]:
-    """The direct route's tables for every tuple with m, n ≤ top:
-    falling[j][x] = perm(x, j) and signed[k][i] = (-1)^i C(k, i)."""
-    falling = [[perm(x, j) for x in range(top + 1)] for j in range(top + 1)]
-    signed = [
-        [-comb(k, i) if i & 1 else comb(k, i) for i in range(k + 1)]
-        for k in range(top + 1)
-    ]
+def _km_tables(
+    top: int, k: Optional[int] = None, l: Optional[int] = None
+) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+    """The direct route's tables for tuples with m, n ≤ top:
+    falling[j][x] = perm(x, j) and signed[k][i] = (-1)^i C(k, i), every row
+    by default, or given k and l only the rows that `_km_scaled` reads for
+    them: falling[l], falling[k-l] and signed[k]."""
+    js, ks = (range(top + 1),) * 2 if k is None else ({l, k - l}, (k,))
+    falling = {j: [perm(x, j) for x in range(top + 1)] for j in js}
+    signed = {j: [-comb(j, i) if i & 1 else comb(j, i) for i in range(j + 1)] for j in ks}
     return falling, signed
 
 
 def _km_scaled(
-    falling: list[list[int]], signed: list[list[int]], k: int, l: int, m: int, n: int
+    falling: Mapping[int, list[int]], signed: Mapping[int, list[int]],
+    k: int, l: int, m: int, n: int,
 ) -> int:
     """k! times the left-hand sum of the tuple (k, l, m, n), in integers:
     Σᵢ signed[k][i]·perm(m-i, l)·perm(n-k+i, k-l) over i = 0..k."""
@@ -174,7 +178,7 @@ def _km_scaled(
 
 def km_scaled_sum(p: KMParams) -> int:
     """k! times the left-hand sum, in integers (expected: (-1)^{k+l} k!)."""
-    return _km_scaled(*_km_tables(max(p.m, p.n)), *p)
+    return _km_scaled(*_km_tables(max(p.m, p.n), p.k, p.l), *p)
 
 
 def km_sum(p: KMParams) -> Fraction:

@@ -2,10 +2,12 @@
 parameter grid and reported uniformly.
 
 Each suite returns a `SuiteResult` with an exact check count and the list
-of failing cases (expected empty).  The suites stated for one tensor module
-run as one stream: a task per (m, n) pair builds V_m⊗V_n once and runs them
-on it in order, so memory does not grow with the number of pairs.  Tasks can
-run in worker processes; aggregation follows input order, so the result is
+of failing cases (expected empty).  `_sweep` runs every suite: it rejects a
+negative bound, runs in this process the checks not stated per (m, n) pair
+(on each V_m, and each Karlsson-Minton route's own sweep), then streams the
+grid: a task per pair builds V_m⊗V_n once and runs the suites stated for it
+in order, so memory does not grow with the number of pairs.  Tasks can run in
+worker processes; aggregation follows input order, so the result is
 independent of the worker count.  A case that raises is one failure.
 """
 
@@ -58,13 +60,15 @@ def _relations_pair(m: int, n: int, q: Fraction, r: Fraction) -> list[str]:
     return _relation_failures(check_relations(tensor_of_irreducibles(m, n)))
 
 
+def _star_failures(report, constants: str) -> list[str]:
+    problems = list(report.failures) + ([] if report.nondegenerate else ["degenerate"])
+    return [f"{report.label} {constants}: " + ", ".join(problems)] if problems else []
+
+
 def _star_pair(m: int, n: int, q: Fraction, r: Fraction) -> list[str]:
     module = tensor_of_irreducibles(m, n)
     report = is_star_form(module, tensor_of_canonical_forms(m, n, q, r))
-    if report.ok:
-        return []
-    problems = list(report.failures) + ([] if report.nondegenerate else ["degenerate"])
-    return [f"{report.label} q={q} r={r}: " + ", ".join(problems)]
+    return _star_failures(report, f"q={q} r={r}")
 
 
 def _decompose_pair(m: int, n: int, q: Fraction, r: Fraction) -> list[str]:
@@ -107,10 +111,9 @@ def _omega_pair(m: int, n: int, q: Fraction, r: Fraction) -> list[str]:
 
 
 # The per-pair suites in stream order.  The ω brute route shares the pair's
-# Q⊗R with star-forms and each X^{s_k}b with x-power because all three run
-# in one pair task: whichever runs first fills the cache.
-# The X^{s_k}b cache holds a whole pair only while min(m, n) < 32 (see
-# `omega.x_power_b_brute`).
+# Q⊗R with star-forms and each X^{s_k}b with x-power, since all three run in
+# one pair task and whichever runs first fills the cache.  The X^{s_k}b cache
+# holds a whole pair only while min(m, n) < 32 (`omega.x_power_b_brute`).
 _PAIR_STEPS = {
     "relations": _relations_pair,
     "star-forms": _star_pair,
@@ -138,9 +141,13 @@ def _pair(pair, q, r, names) -> list[tuple[int, list[str], float]]:
     return out
 
 
-def _irreducible_checks(name, bound, q, r, corrupt) -> tuple[int, list[str]]:
-    """The checks of a suite that run on the irreducibles V_m alone."""
+def _local_checks(name, bound, q, r, corrupt) -> tuple[int, list[str]]:
+    """The checks not stated per pair: on each V_m, or a KM route's sweep."""
     failures = []
+    if name in ("karlsson-minton", "3f2-route"):
+        route = km_range_verify if name == "karlsson-minton" else series_route_verify
+        report = route(bound)
+        return report.tuples, [f"(k,l,m,n)={t}" for t in report.failures]
     if name == "relations":
         modules = [irreducible(m) for m in range(bound + 1)]
         if corrupt:
@@ -152,26 +159,29 @@ def _irreducible_checks(name, bound, q, r, corrupt) -> tuple[int, list[str]]:
         for m in range(bound + 1):
             for c in (q, r):
                 report = is_star_form(irreducible(m), canonical_form(m, c))
-                if not report.ok:
-                    failures.append(f"{report.label} q={c}: " + ", ".join(report.failures))
+                failures += _star_failures(report, f"q={c}")
         return 2 * (bound + 1), failures
     return 0, []
 
 
 def _sweep(bound, names, q=1, r=1, jobs=1, corrupt=False) -> list[SuiteResult]:
-    """The named suites: checks on each V_m in this process, then one task
-    per (m, n) pair with m, n ≤ bound.  Under jobs > 1 a suite's seconds
-    are worker time summed over the pairs."""
+    """The named suites, each timed: local checks in this process, then one
+    task per (m, n) pair with m, n ≤ bound if any suite is stated per pair.
+    Under jobs > 1 a suite's seconds are worker time summed over the pairs."""
+    if bound < 0:
+        raise ValueError(f"bound must be nonnegative (got {bound})")
     q, r = Fraction(q), Fraction(r)
     totals = {}
     for name in names:
         t0 = time.perf_counter()
-        checks, failures = _irreducible_checks(name, bound, q, r, corrupt)
+        checks, failures = _local_checks(name, bound, q, r, corrupt)
         totals[name] = [checks, failures, time.perf_counter() - t0]
+    paired = tuple(name for name in names if name in _PAIR_STEPS)
     grid = [(m, n) for m in range(bound + 1) for n in range(bound + 1)]
-    for results in parallel_map(partial(_pair, q=q, r=r, names=names), grid, jobs):
-        for total, result in zip(totals.values(), results):
-            total[:] = [a + b for a, b in zip(total, result)]
+    pairs = partial(_pair, q=q, r=r, names=paired)
+    for results in parallel_map(pairs, grid, jobs) if paired else ():
+        for name, result in zip(paired, results):
+            totals[name][:] = [a + b for a, b in zip(totals[name], result)]
     return [SuiteResult(name, c, tuple(f), s) for name, (c, f, s) in totals.items()]
 
 
@@ -206,22 +216,14 @@ def sweep_x_power(bound: int, jobs: int = 1) -> SuiteResult:
     return _sweep(bound, ("x-power",), jobs=jobs)[0]
 
 
-def _km_suite(name: str, route, bound: int) -> SuiteResult:
-    """One Karlsson-Minton route's sweep, timed, as a suite."""
-    t0 = time.perf_counter()
-    report = route(bound)
-    failures = tuple(f"(k,l,m,n)={t}" for t in report.failures)
-    return SuiteResult(name, report.tuples, failures, time.perf_counter() - t0)
-
-
 def sweep_karlsson_minton(bound: int) -> SuiteResult:
     """The alternating factorial sum equals (-1)^{k+l} on the whole grid."""
-    return _km_suite("karlsson-minton", km_range_verify, bound)
+    return _sweep(bound, ("karlsson-minton",))[0]
 
 
 def sweep_series_route(bound: int) -> SuiteResult:
     """Terminating-series restatement reproduces the direct sum exactly."""
-    return _km_suite("3f2-route", series_route_verify, bound)
+    return _sweep(bound, ("3f2-route",))[0]
 
 
 def sweep_omega_signs(
@@ -249,7 +251,5 @@ def verify_all(
 
     A negative bound is rejected before any suite runs.
     """
-    if bound < 0:
-        raise ValueError(f"bound must be nonnegative (got {bound})")
     *per_module, omega = _sweep(bound, tuple(_PAIR_STEPS), q, r, jobs, corrupt)
     return [*per_module, sweep_karlsson_minton(bound), sweep_series_route(bound), omega]

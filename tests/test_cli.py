@@ -7,6 +7,7 @@ import argparse
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -227,6 +228,43 @@ class TestParser:
             cli.main(args + [flag, "0"])
         assert exc.value.code == 2
         assert f"argument {flag}: must be nonzero: 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["omega-table", "1", "1"],
+        ["verify-star", "--max", "1"],
+        ["verify-all", "--max", "1", "--format", "json"],
+    ], ids=lambda args: args[0])
+    @pytest.mark.parametrize("flag, value", [
+        ("--q", "1e5000"), ("--r", "-1e-1001"), ("--q", "1e10000000"), ("--r", "3e1000"),
+    ])
+    def test_q_or_r_past_the_bound_is_usage_error(self, args, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args + [f"{flag}={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: numerator and denominator must be at most 10^1000" in err
+
+    def test_huge_exponent_is_refused_before_fraction_builds_it(self, monkeypatch):
+        def parse_rational(text):
+            raise AssertionError(f"parsed {text}")
+
+        monkeypatch.setattr(cli, "parse_rational", parse_rational)
+        for text in ("1e3000000", "-7.5E-10000000", "0.001e+1200_000"):
+            with pytest.raises(argparse.ArgumentTypeError, match="at most 10\\^1000"):
+                cli._nonzero_rational(text)
+
+    def test_q_and_r_at_the_bound_are_printed(self, capsys):
+        big = "1" + "0" * 1000
+        assert cli.main(["omega-table", "2", "1", "--q", "1e1000", "--r=-1e1000",
+                         "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["q"], payload["r"]) == (big, "-" + big)
+        # ω = 12qr and -3qr on V_2⊗V_1 (README), each with 2002 or 2003 digits
+        zeros = "0" * 2000
+        assert [row["value"] for row in payload["rows"]] == ["-12" + zeros, "3" + zeros]
+        # the same values written with more mantissa digits, or as 1/10^1000
+        assert cli._nonzero_rational("0.1e1001") == int(big)
+        assert cli._nonzero_rational("1e-1000") == Fraction(1, int(big))
 
 
 class TestFullVerificationScript:

@@ -453,6 +453,26 @@ class TestIntegerCores:
         assert report.failures == tuple(failures)
         assert report.tuples == len(list(admissible_tuples(self.BOUND)))
 
+    @pytest.mark.parametrize("k, l, m, n", [
+        (1, 0, 400, 400), (4, 2, 9, 30), (3, 3, 5, 3), (6, 1, 12, 6),
+    ])
+    def test_one_tuple_builds_only_the_rows_it_reads(self, monkeypatch, k, l, m, n):
+        # the wrappers read `perm` from the module, like the sweep, so a
+        # patched `hypergeom.perm` sees every call they make
+        calls = []
+
+        def counted(x, j):
+            calls.append((x, j))
+            return math.perm(x, j)
+
+        monkeypatch.setattr(hypergeom, "perm", counted)
+        p = KMParams(k, l, m, n)
+        for wrapper in (km_scaled_sum, km_sum, km_check):
+            calls.clear()
+            wrapper(p)
+            assert 0 < len(calls) <= 2 * (max(m, n) + 1), wrapper.__name__
+        assert km_scaled_sum(p) == (-1) ** (k + l) * math.factorial(k)
+
     def test_series_cores_and_sweep_match_to_3f2_and_eval(self):
         facts = hypergeom._factorials(self.BOUND)
         count, failures = 0, []

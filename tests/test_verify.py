@@ -19,6 +19,7 @@ from sl2forms.verify import (
     sweep_star_forms,
     sweep_x_power,
     verify_all,
+    verify_star,
 )
 
 SUITE_NAMES = [
@@ -80,16 +81,39 @@ class TestSuites:
         assert not wrappers[0].ok
         assert strip_timing(verify_all(3, q, r, corrupt=True)) == strip_timing(wrappers)
 
-    def test_negative_bound_rejected_before_any_suite(self, monkeypatch):
+    @staticmethod
+    def forbid_suites(monkeypatch):
         def suite_ran(*args, **kwargs):
             raise AssertionError("a suite ran")
 
-        # the stream over the grid runs first; with bound -1 its pair tasks
-        # would never be called, so patching them alone would prove nothing
-        for name in ("_sweep", "_pair", "sweep_karlsson_minton", "sweep_series_route"):
+        # with bound -1 the grid is empty and no pair task would be called,
+        # so the local checks (V_m and both KM sweeps) are patched as well
+        for name in ("_local_checks", "_pair", "parallel_map"):
             monkeypatch.setattr(verify, name, suite_ran)
+
+    def test_negative_bound_rejected_before_any_suite(self, monkeypatch):
+        self.forbid_suites(monkeypatch)
         with pytest.raises(ValueError, match="nonnegative"):
             verify_all(-1)
+
+    @pytest.mark.parametrize("entry", [
+        verify_star, sweep_relations, sweep_star_forms, sweep_decomposition,
+        sweep_singular_vectors, sweep_x_power, sweep_karlsson_minton,
+        sweep_series_route, sweep_omega_signs,
+    ], ids=lambda entry: entry.__name__)
+    def test_every_entry_point_rejects_a_negative_bound(self, monkeypatch, entry):
+        self.forbid_suites(monkeypatch)
+        with pytest.raises(ValueError, match="nonnegative"):
+            entry(-1)
+
+    def test_degenerate_star_form_is_named_on_every_module(self, monkeypatch):
+        # V_m and V_m⊗V_n failures share one text, naming every property
+        monkeypatch.setattr(forms, "rank", lambda matrix: 0)
+        assert sweep_star_forms(0, 2, 3).failures == (
+            "V_0 q=2: degenerate",
+            "V_0 q=3: degenerate",
+            "V_0⊗V_0 q=2 r=3: degenerate",
+        )
 
     def test_corruption_flips_relations_suite(self):
         suites = verify_all(2, corrupt=True)
