@@ -4,7 +4,8 @@ Subcommands expose the decomposition, singular-vector and ω-table
 computations plus the verification sweeps, as human-readable text or as
 JSON with a stable schema.  Exit codes: 0 success, 1 verification failure,
 2 usage error.  Timing goes to stderr so identical arguments always
-produce byte-identical stdout.
+produce byte-identical stdout.  Every size, q and r the parser accepts is
+bounded, and a usage error quotes no argument in full.
 
 Each subparser names its `cmd_*` handler as `run`, and `main` calls it.
 Each `cmd_*` function imports the layers it calls when it runs, so a
@@ -23,7 +24,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .parallel import default_jobs
-from .rationals import parse_rational
+from .rationals import excerpt, parse_rational
 
 if TYPE_CHECKING:
     from .verify import SuiteResult
@@ -48,8 +49,17 @@ def _exponent(text: str) -> int:
         return 0
 
 
+# The largest sizes accepted.  m and n stop at 200, where the digit bound
+# above holds.  Each sweep bound is about where one run at --jobs 1 takes a
+# minute on a 2-CPU x86 host with Python 3.11 (README).
+_MODULE_MAX = 200
+_SWEEP_MAX = {"verify-km": 72, "verify-star": 48, "verify-all": 40}
+
+
 def _nonzero_rational(text: str) -> Fraction:
-    too_big = f"numerator and denominator must be at most 10^{_QR_DIGITS}: {text}"
+    too_big = (
+        f"numerator and denominator must be at most 10^{_QR_DIGITS}: {excerpt(text)}"
+    )
     # Whatever its mantissa, a literal M·10^E with |E| > 1000 + len(text) is
     # past the bound, so it is refused before Fraction computes 10^|E|.
     if abs(_exponent(text)) > _QR_DIGITS + len(text):
@@ -59,7 +69,7 @@ def _nonzero_rational(text: str) -> Fraction:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     if not value:
-        raise argparse.ArgumentTypeError(f"must be nonzero: {text}")
+        raise argparse.ArgumentTypeError(f"must be nonzero: {excerpt(text)}")
     if max(abs(value.numerator), value.denominator) > _QR_LIMIT:
         raise argparse.ArgumentTypeError(too_big)
     return value
@@ -69,9 +79,9 @@ def _int_at_least(text: str, lowest: int, what: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        raise argparse.ArgumentTypeError(f"not an integer: {excerpt(text)!r}") from None
     if value < lowest:
-        raise argparse.ArgumentTypeError(f"must be {what}: {text}")
+        raise argparse.ArgumentTypeError(f"must be {what}: {excerpt(text)}")
     return value
 
 
@@ -81,6 +91,20 @@ def _nonneg(text: str) -> int:
 
 def _positive(text: str) -> int:
     return _int_at_least(text, 1, "positive")
+
+
+def _size_up_to(highest: int):
+    """Argument type: an integer from 0 to `highest`."""
+
+    def size(text: str) -> int:
+        value = _nonneg(text)
+        if value > highest:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {highest}: {excerpt(text)}"
+            )
+        return value
+
+    return size
 
 
 def _add_format(p: argparse.ArgumentParser) -> None:
@@ -97,19 +121,36 @@ def _add_qr(p: argparse.ArgumentParser) -> None:
                    help="form constant on the right factor (rational, default 1)")
 
 
-def _add_max(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max", type=_nonneg, default=10,
-                   help="sweep bound on m and n (default 10)")
+def _add_sizes(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(name, type=_size_up_to(_MODULE_MAX),
+                       help=f"module label, at most {_MODULE_MAX}")
 
 
-def _add_sweep(p: argparse.ArgumentParser) -> None:
-    _add_max(p)
+def _add_max(p: argparse.ArgumentParser, command: str) -> None:
+    highest = _SWEEP_MAX[command]
+    p.add_argument("--max", type=_size_up_to(highest), default=10,
+                   help=f"sweep bound on m and n, at most {highest} (default 10)")
+
+
+def _add_sweep(p: argparse.ArgumentParser, command: str) -> None:
+    _add_max(p, command)
     p.add_argument("--jobs", type=_positive, default=default_jobs(),
                    help="worker processes, at most the cpu count (default: cpu count)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Cuts every usage error message to 200 characters.  argparse words
+    some of them itself (an unknown command or choice, an unrecognized
+    argument) and quotes the whole argument there.  Subparsers are built
+    with this class too."""
+
+    def error(self, message: str):
+        super().error(excerpt(message, 200))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sl2forms",
         description="Exact verification of sl2 tensor-module forms and the "
         "factorial identities behind their sign pattern.",
@@ -118,42 +159,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="decompose V_m⊗V_n into irreducibles")
     p.set_defaults(run=cmd_decompose)
-    p.add_argument("m", type=_nonneg)
-    p.add_argument("n", type=_nonneg)
+    _add_sizes(p, "m", "n")
     _add_format(p)
 
     p = sub.add_parser("singular-vector",
                        help="the Y-kernel vector of weight -(m+n-2k)")
     p.set_defaults(run=cmd_singular_vector)
-    p.add_argument("m", type=_nonneg)
-    p.add_argument("n", type=_nonneg)
+    _add_sizes(p, "m", "n")
     p.add_argument("k", type=_nonneg)
     _add_format(p)
 
     p = sub.add_parser("omega-table",
                        help="ω_k(b,b) for k = 0..min(m,n) with sign verdict")
     p.set_defaults(run=cmd_omega_table)
-    p.add_argument("m", type=_nonneg)
-    p.add_argument("n", type=_nonneg)
+    _add_sizes(p, "m", "n")
     _add_qr(p)
     _add_format(p)
 
     p = sub.add_parser("verify-km",
                        help="sweep the factorial identity and its series form")
     p.set_defaults(run=cmd_verify_km)
-    _add_max(p)
+    _add_max(p, "verify-km")
     _add_format(p)
 
     p = sub.add_parser("verify-star",
                        help="sweep bracket relations and *-form compatibility")
     p.set_defaults(run=cmd_verify_star)
-    _add_sweep(p)
+    _add_sweep(p, "verify-star")
     _add_qr(p)
     _add_format(p)
 
     p = sub.add_parser("verify-all", help="run every verification suite")
     p.set_defaults(run=cmd_verify_all)
-    _add_sweep(p)
+    _add_sweep(p, "verify-all")
     _add_qr(p)
     _add_format(p)
     p.add_argument("--debug-corrupt", action="store_true",

@@ -28,11 +28,10 @@ computes that multiple once per form, with its scale c (gram = c·P), and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .linalg import (
     ExactMatrix,
@@ -44,26 +43,31 @@ from .linalg import (
 )
 from .modules import ModuleVector, WeightModule, irreducible, tensor_of_irreducibles
 from .rationals import Scalar
+from .records import frozen
 
 
-@dataclass(frozen=True)
-class BilinearForm:
+class _BilinearFormFields(NamedTuple):
+    module: WeightModule
+    gram: ExactMatrix
+
+
+@frozen
+class BilinearForm(_BilinearFormFields):
     """A symmetric Gram matrix attached to a module's basis.
 
     Symmetry is enforced at construction; nondegeneracy is not, so that
     degenerate or otherwise broken forms can be fed to `is_star_form` in
-    negative tests.
+    negative tests.  The class has no ``__slots__``, so that the cached
+    `integer_gram` has an instance ``__dict__`` to live in.
     """
 
-    module: WeightModule
-    gram: ExactMatrix
-
-    def __post_init__(self) -> None:
-        d = self.module.dim
-        if self.gram.rows != d or self.gram.cols != d:
-            raise ValueError(f"gram matrix must be {d}x{d} for {self.module.label}")
-        if self.gram != self.gram.transpose:
+    def __new__(cls, module: WeightModule, gram: ExactMatrix) -> BilinearForm:
+        d = module.dim
+        if gram.rows != d or gram.cols != d:
+            raise ValueError(f"gram matrix must be {d}x{d} for {module.label}")
+        if gram != gram.transpose:
             raise ValueError("gram matrix must be symmetric")
+        return super().__new__(cls, module, gram)
 
     @cached_property
     def integer_gram(self) -> tuple[Scalar, ExactMatrix]:
@@ -78,8 +82,8 @@ class BilinearForm:
         return 1, p
 
 
-@dataclass(frozen=True)
-class StarFormReport:
+@frozen
+class StarFormReport(NamedTuple):
     """Compatibility of one form with the anti-involution, plus nondegeneracy."""
 
     label: str

@@ -76,9 +76,10 @@ class IllDefinedSeriesError(ValueError):
     """A lower Pochhammer factor vanishes at or before the truncation index."""
 
 
-# The records are NamedTuples, not dataclasses: importing `dataclasses`
-# loads `inspect`, `ast` and `dis`, which `verify-km` otherwise never needs.
-# A record subclasses its field tuple so that `__new__` can validate.
+# Like every record of the package, these are NamedTuples, not dataclasses:
+# importing `dataclasses` loads `inspect`, `ast` and `dis`, which no
+# subcommand otherwise needs (see `records`).  A record subclasses its field
+# tuple so that `__new__` can validate.
 class _KMFields(NamedTuple):
     k: int
     l: int

@@ -34,28 +34,30 @@ in integers too, building one `Fraction` per coordinate at the end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from typing import Iterable, Sequence
 
 from .rationals import Scalar
+from .records import read_only
 
 Row = tuple[tuple[int, Scalar], ...]
 
 
-@dataclass(frozen=True, init=False)
 class ExactMatrix:
     """Immutable rows x cols matrix of exact rational entries.
 
     ``nonzero_rows[i]`` holds row i's nonzero entries as (column, value)
-    pairs in increasing column order; nothing else is stored.
+    pairs in increasing column order; nothing else is stored.  Two matrices
+    are equal when their shapes and stored rows are.
     """
 
     rows: int
     cols: int
     nonzero_rows: tuple[Row, ...]
+
+    __setattr__ = __delattr__ = read_only
 
     def __init__(
         self, rows: int, cols: int, entries: Sequence[Sequence[Scalar]]
@@ -75,9 +77,7 @@ class ExactMatrix:
     def _assign(self, rows: int, cols: int, nonzero_rows: tuple[Row, ...]) -> None:
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "nonzero_rows", nonzero_rows)
+        self.__dict__.update(rows=rows, cols=cols, nonzero_rows=nonzero_rows)
 
     @classmethod
     def _stored(
@@ -87,6 +87,22 @@ class ExactMatrix:
         matrix = object.__new__(cls)
         matrix._assign(rows, cols, nonzero_rows)
         return matrix
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows, self.cols, self.nonzero_rows) == (
+            other.rows, other.cols, other.nonzero_rows
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.nonzero_rows))
+
+    def __repr__(self) -> str:
+        return (
+            f"ExactMatrix(rows={self.rows!r}, cols={self.cols!r}, "
+            f"nonzero_rows={self.nonzero_rows!r})"
+        )
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[Scalar]]) -> "ExactMatrix":
@@ -311,10 +327,13 @@ def mat_vec(a: ExactMatrix, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
 def apply_power(a: ExactMatrix, v: Sequence[Scalar], s: int) -> tuple[Scalar, ...]:
     """A applied s >= 0 times to v; s = 0 returns v unchanged.
 
-    Between steps the vector is held as a map from index to nonzero value,
-    and each step walks only the columns of A at those indices, so a
-    vector confined to one weight space costs that space's nonzeros, not
-    all of A's.
+    Between steps the vector is held as a map from index to value, and each
+    step walks only the columns of A at its nonzero values, so a vector
+    confined to one weight space costs that space's nonzeros, not all of
+    A's.  A step's map becomes the next step's as it is: an entry that
+    cancelled to zero stays in it and is skipped, and zeros are dropped
+    once, when the result is made dense.  So every entry sums the same
+    terms in the same order as a walk over the nonzeros alone.
     """
     if a.rows != a.cols:
         raise ValueError("apply_power needs a square matrix")
@@ -329,13 +348,16 @@ def apply_power(a: ExactMatrix, v: Sequence[Scalar], s: int) -> tuple[Scalar, ..
     support = {j: out[j] for j in compress(range(len(out)), out)}
     for _ in range(s):
         image: dict[int, Scalar] = {}
+        get = image.get
         for j, x in support.items():
-            for i, entry in columns[j]:
-                image[i] = image.get(i, 0) + entry * x
-        support = {i: y for i, y in image.items() if y}
+            if x:
+                for i, entry in columns[j]:
+                    image[i] = get(i, 0) + entry * x
+        support = image
     dense: list[Scalar] = [0] * a.rows
     for i, y in support.items():
-        dense[i] = y
+        if y:
+            dense[i] = y
     return tuple(dense)
 
 

@@ -26,25 +26,17 @@ verified result rather than an assumption.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .linalg import ExactMatrix, kron_sum, mat_vec, product_identity_holds
 from .rationals import Scalar
+from .records import frozen
 
 GENERATORS = ("X", "Y", "H")
 
 
-@dataclass(frozen=True)
-class WeightModule:
-    """A basis-explicit module: weights plus exact matrices for X, Y, H.
-
-    Construction validates shapes only.  The bracket relations are the job
-    of `check_relations`, so deliberately corrupted modules can be built
-    for negative tests.
-    """
-
+class _WeightModuleFields(NamedTuple):
     label: str
     dim: int
     weights: tuple[int, ...]
@@ -53,15 +45,35 @@ class WeightModule:
     actY: ExactMatrix
     actH: ExactMatrix
 
-    def __post_init__(self) -> None:
-        if self.dim < 0:
+
+@frozen
+class WeightModule(_WeightModuleFields):
+    """A basis-explicit module: weights plus exact matrices for X, Y, H.
+
+    Construction validates shapes only.  The bracket relations are the job
+    of `check_relations`, so deliberately corrupted modules can be built
+    for negative tests.  The class has no ``__slots__``, so that the cached
+    `weight_positions` has an instance ``__dict__`` to live in.
+    """
+
+    def __new__(
+        cls,
+        label: str,
+        dim: int,
+        weights: tuple[int, ...],
+        basis_names: tuple[str, ...],
+        actX: ExactMatrix,
+        actY: ExactMatrix,
+        actH: ExactMatrix,
+    ) -> WeightModule:
+        if dim < 0:
             raise ValueError("module dimension must be nonnegative")
-        if len(self.weights) != self.dim or len(self.basis_names) != self.dim:
+        if len(weights) != dim or len(basis_names) != dim:
             raise ValueError("weights and basis_names must have one entry per dimension")
-        for g in GENERATORS:
-            mat = self.generator(g)
-            if mat.rows != self.dim or mat.cols != self.dim:
-                raise ValueError(f"act{g} must be {self.dim}x{self.dim}")
+        for g, mat in zip(GENERATORS, (actX, actY, actH)):
+            if mat.rows != dim or mat.cols != dim:
+                raise ValueError(f"act{g} must be {dim}x{dim}")
+        return super().__new__(cls, label, dim, weights, basis_names, actX, actY, actH)
 
     @cached_property
     def weight_positions(self) -> dict[int, tuple[int, ...]]:
@@ -82,26 +94,31 @@ class WeightModule:
         raise ValueError(f"unknown generator {g!r}; expected one of {GENERATORS}")
 
 
-@dataclass(frozen=True)
-class ModuleVector:
-    """Exact coordinate vector in a module's basis."""
-
+class _ModuleVectorFields(NamedTuple):
     module: WeightModule
     coords: tuple[Scalar, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.coords) != self.module.dim:
+
+@frozen
+class ModuleVector(_ModuleVectorFields):
+    """Exact coordinate vector in a module's basis."""
+
+    __slots__ = ()
+
+    def __new__(cls, module: WeightModule, coords: tuple[Scalar, ...]) -> ModuleVector:
+        if len(coords) != module.dim:
             raise ValueError(
-                f"vector of length {len(self.coords)} does not live in "
-                f"{self.module.label} (dim {self.module.dim})"
+                f"vector of length {len(coords)} does not live in "
+                f"{module.label} (dim {module.dim})"
             )
+        return super().__new__(cls, module, coords)
 
     def is_zero(self) -> bool:
         return not any(self.coords)
 
 
-@dataclass(frozen=True)
-class RelationReport:
+@frozen
+class RelationReport(NamedTuple):
     """Outcome of checking the three bracket identities on a module."""
 
     label: str
@@ -112,20 +129,27 @@ class RelationReport:
         return not self.failures
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Multiset of irreducible summands: (m_j, multiplicity) pairs, m_j ascending."""
-
+class _DecompositionFields(NamedTuple):
     dim: int
     summands: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        total = sum(mult * (j + 1) for j, mult in self.summands)
-        if total != self.dim:
+
+@frozen
+class DecompositionReport(_DecompositionFields):
+    """Multiset of irreducible summands: (m_j, multiplicity) pairs, m_j ascending."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, dim: int, summands: tuple[tuple[int, int], ...]
+    ) -> DecompositionReport:
+        total = sum(mult * (j + 1) for j, mult in summands)
+        if total != dim:
             raise ValueError(
-                f"summand dimensions add to {total}, not {self.dim}: "
+                f"summand dimensions add to {total}, not {dim}: "
                 "weight multiset is not a direct sum of irreducibles"
             )
+        return super().__new__(cls, dim, summands)
 
 
 @lru_cache(maxsize=None)
@@ -253,7 +277,7 @@ def perturbed(
     grid = [list(r) for r in mat.entries]
     grid[row][col] += delta
     bumped = ExactMatrix.from_rows(grid)
-    return replace(module, **{f"act{g}": bumped, "label": f"{module.label}~corrupt"})
+    return module._replace(**{f"act{g}": bumped, "label": f"{module.label}~corrupt"})
 
 
 def format_vector(module: WeightModule, coords: Sequence[Scalar]) -> str:

@@ -21,9 +21,9 @@ Route disagreement raises `InconsistencyError`; agreement is the point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .forms import evaluate, tensor_of_canonical_forms
 from .linalg import ExactMatrix, apply_power, null_space
@@ -34,6 +34,7 @@ from .modules import (
     weight_space_indices,
 )
 from .rationals import Scalar, factorial, sign
+from .records import frozen
 
 
 class InconsistencyError(Exception):
@@ -42,8 +43,8 @@ class InconsistencyError(Exception):
     to verify."""
 
 
-@dataclass(frozen=True)
-class OmegaRow:
+@frozen
+class OmegaRow(NamedTuple):
     """One line of an ω table: ω_k(b,b) on the weight-(-s_k) singular line."""
 
     k: int
@@ -52,29 +53,36 @@ class OmegaRow:
     sign: int
 
 
-@dataclass(frozen=True)
-class OmegaReport:
-    """All rows k = 0..min(m,n) for one (m, n, q, r)."""
-
+class _OmegaReportFields(NamedTuple):
     m: int
     n: int
     q: Fraction
     r: Fraction
     rows: tuple[OmegaRow, ...]
 
-    def __post_init__(self) -> None:
-        expected_k = tuple(range(min(self.m, self.n) + 1))
-        if tuple(row.k for row in self.rows) != expected_k:
-            raise ValueError(f"rows must cover k = 0..{min(self.m, self.n)} in order")
-        for row in self.rows:
-            if row.s != self.m + self.n - 2 * row.k:
+
+@frozen
+class OmegaReport(_OmegaReportFields):
+    """All rows k = 0..min(m,n) for one (m, n, q, r)."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, m: int, n: int, q: Fraction, r: Fraction, rows: tuple[OmegaRow, ...]
+    ) -> OmegaReport:
+        expected_k = tuple(range(min(m, n) + 1))
+        if tuple(row.k for row in rows) != expected_k:
+            raise ValueError(f"rows must cover k = 0..{min(m, n)} in order")
+        for row in rows:
+            if row.s != m + n - 2 * row.k:
                 raise ValueError(f"row k={row.k} has s={row.s}, expected m+n-2k")
             if not row.value:
                 raise ValueError(f"row k={row.k} has value 0; ω_k must be nondegenerate")
+        return super().__new__(cls, m, n, q, r, rows)
 
 
-@dataclass(frozen=True)
-class SignAlternationReport:
+@frozen
+class SignAlternationReport(NamedTuple):
     """Whether sign(ω_k) = (-1)^k · sign(qr) holds for every k."""
 
     table: OmegaReport

@@ -39,9 +39,17 @@ def sign(x: Scalar) -> int:
     return 0
 
 
+def excerpt(text: str, limit: int = 40) -> str:
+    """`text` for an error message: as it is up to `limit` characters, else
+    its first `limit` characters and its length, so a message stays short."""
+    if len(text) <= limit:
+        return text
+    return f"{text[:limit]}... ({len(text)} characters)"
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse a rational literal like ``-3``, ``7/2`` or ``0.5`` exactly."""
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational literal: {text!r}") from exc
+        raise ValueError(f"not a rational literal: {excerpt(text)!r}") from exc

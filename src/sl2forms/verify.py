@@ -14,9 +14,9 @@ independent of the worker count.  A case that raises is one failure.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 from .forms import canonical_form, is_star_form, tensor_of_canonical_forms
 from .hypergeom import km_range_verify, series_route_verify
@@ -38,10 +38,11 @@ from .omega import (
 )
 from .parallel import parallel_map
 from .rationals import Scalar
+from .records import frozen
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+@frozen
+class SuiteResult(NamedTuple):
     name: str
     checks: int
     failures: tuple[str, ...]

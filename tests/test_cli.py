@@ -267,14 +267,75 @@ class TestParser:
         assert cli._nonzero_rational("1e-1000") == Fraction(1, int(big))
 
 
+class TestSizeBounds:
+    """Every size the CLI accepts is bounded: one past its bound is a usage
+    error (exit 2), found by argparse before any module is built."""
+
+    CASES = {
+        "decompose-m": (["decompose", "{}", "0"], 200),
+        "decompose-n": (["decompose", "0", "{}"], 200),
+        "singular-vector-m": (["singular-vector", "{}", "1", "0"], 200),
+        "singular-vector-n": (["singular-vector", "1", "{}", "0"], 200),
+        "omega-table-m": (["omega-table", "{}", "2"], 200),
+        "omega-table-n": (["omega-table", "2", "{}"], 200),
+        "verify-km": (["verify-km", "--max", "{}"], 72),
+        "verify-star": (["verify-star", "--jobs", "1", "--max", "{}"], 48),
+        "verify-all": (["verify-all", "--jobs", "1", "--max", "{}"], 40),
+    }
+
+    @staticmethod
+    def args(template, value):
+        return [a.format(value) for a in template]
+
+    @pytest.mark.parametrize("template, bound", CASES.values(), ids=list(CASES))
+    def test_one_past_the_bound_is_usage_error(self, template, bound, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(self.args(template, bound + 1))
+        assert exc.value.code == 2
+        assert f"must be at most {bound}: {bound + 1}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("template, bound", CASES.values(), ids=list(CASES))
+    def test_the_bound_itself_parses(self, template, bound):
+        args = cli.build_parser().parse_args(self.args(template, bound))
+        assert bound in vars(args).values()
+
+
+class TestLongArguments:
+    """A usage error echoes at most a short prefix of the argument."""
+
+    LONG = 100_000
+
+    @pytest.mark.parametrize("args", [
+        ["omega-table", "2", "1", "--q=" + "x" * LONG],
+        ["omega-table", "2", "1", "--r=" + "1" * LONG],
+        ["omega-table", "2", "1", "--q=0." + "0" * LONG],
+        ["omega-table", "2", "1", "--q=" + "7" * 4000 + "/2"],
+        ["verify-km", "--max", "9" * LONG],
+        ["verify-all", "--max", "1", "--jobs", "-" + "9" * 4000],
+        ["decompose", "x" * LONG, "0"],
+        ["singular-vector", "1", "1", "9" * 4000],
+        ["verify-km", "--format", "x" * LONG],
+        ["x" * LONG],
+        ["verify-km", "--max", "1", "x" * LONG],
+    ], ids=["q-text", "r-digits", "q-zero", "q-past-bound", "max-digits",
+            "jobs-negative", "m-text", "k-past-min", "format-choice",
+            "command", "unrecognized"])
+    def test_message_is_short(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
+        assert len(capsys.readouterr().err) < 600
+
+
 class TestFullVerificationScript:
     """scripts/full_verification.py parses --max and --jobs with the CLI's
-    argument types."""
+    argument types, and bounds --max as `verify-all` does."""
 
     SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "full_verification.py"
 
     def test_bad_bounds_are_usage_errors(self):
-        for flag, value in (("--max", "-1"), ("--jobs", "-5"), ("--jobs", "0")):
+        for flag, value in (("--max", "-1"), ("--max", "41"), ("--jobs", "-5"),
+                            ("--jobs", "0")):
             proc = subprocess.run(
                 [sys.executable, str(self.SCRIPT), flag, value],
                 capture_output=True, text=True, timeout=60,
@@ -327,13 +388,25 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 
+# No subcommand needs `dataclasses`, or the `inspect` it imports (with `ast`
+# and `dis`); the package's records are NamedTuples (`sl2forms.records`).
+NEVER_LOADED = ["dataclasses", "inspect"]
+
+
 @pytest.mark.parametrize("args, loaded, absent", [
     (["verify-km", "--max", "2"], ["sl2forms.hypergeom"],
-     ["dataclasses", "sl2forms.linalg", "sl2forms.modules", "sl2forms.forms",
+     ["sl2forms.linalg", "sl2forms.modules", "sl2forms.forms",
       "sl2forms.omega", "sl2forms.verify"]),
     (["decompose", "0", "0"], ["sl2forms.modules"],
      ["sl2forms.hypergeom", "sl2forms.omega", "sl2forms.verify"]),
-], ids=["verify-km", "decompose"])
+    (["singular-vector", "2", "1", "1"], ["sl2forms.omega"],
+     ["sl2forms.hypergeom", "sl2forms.verify"]),
+    (["omega-table", "2", "1"], ["sl2forms.omega"],
+     ["sl2forms.hypergeom", "sl2forms.verify"]),
+    (["verify-star", "--max", "1"], ["sl2forms.verify"], []),
+    (["verify-all", "--max", "1"], ["sl2forms.verify"], []),
+], ids=["verify-km", "decompose", "singular-vector", "omega-table", "verify-star",
+        "verify-all"])
 def test_cold_run_loads_only_the_subcommands_layers(args, loaded, absent):
     proc = subprocess.run(
         [sys.executable, "-c", LOADED_AFTER, *args],
@@ -342,4 +415,4 @@ def test_cold_run_loads_only_the_subcommands_layers(args, loaded, absent):
     assert proc.returncode == 0, proc.stderr
     modules = set(json.loads(proc.stdout.splitlines()[-1]))
     assert set(loaded) <= modules
-    assert not modules & set(absent)
+    assert not modules & set(absent + NEVER_LOADED)

@@ -2,7 +2,6 @@
 decomposition.  Frozen examples are hand substitutions into the action
 formulas; sweeps re-derive the Clebsch-Gordan pattern."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -231,13 +230,13 @@ class TestWeightSpaces:
     @given(small_m, small_m, st.randoms(use_true_random=False))
     def test_weight_index_matches_linear_scan(self, m, n, rng):
         """The cached weight map against a scan of the weights, also on a
-        copy made by `dataclasses.replace` with the weights reordered after
+        copy made by `_replace` with the weights reordered after
         the original's map was built."""
         t = tensor_of_irreducibles(m, n)
         weight_space_indices(t, 0)  # builds t's map
         shuffled = list(t.weights)
         rng.shuffle(shuffled)
-        copy = replace(t, weights=tuple(shuffled))
+        copy = t._replace(weights=tuple(shuffled))
         for module in (t, copy):
             for w in range(-m - n - 2, m + n + 3):
                 assert weight_space_indices(module, w) == tuple(
@@ -274,9 +273,7 @@ class TestDecompose:
 
     def test_inconsistent_weights_rejected(self):
         broken = irreducible(2)
-        from dataclasses import replace
-
-        lopsided = replace(broken, weights=(2, 2, 0), label="broken")
+        lopsided = broken._replace(weights=(2, 2, 0), label="broken")
         with pytest.raises(ValueError):
             decompose(lopsided)
 

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sl2forms.rationals import (
+    excerpt,
     factorial,
     parse_rational,
     reciprocal_factorial,
@@ -63,6 +64,14 @@ class TestSerialization:
             parse_rational("no")
         with pytest.raises(ValueError):
             parse_rational("1/0")
+
+    def test_error_message_echoes_a_short_prefix(self):
+        with pytest.raises(ValueError) as raised:
+            parse_rational("x" * 100_000)
+        assert str(raised.value) == (
+            "not a rational literal: '" + "x" * 40 + "... (100000 characters)'"
+        )
+        assert excerpt("1/0") == "1/0" and excerpt("y" * 40) == "y" * 40
 
     @given(rationals)
     def test_round_trip(self, x):
