@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
+import re
 import sys
 import time
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .parallel import default_jobs
 from .rationals import excerpt, parse_rational
 
 if TYPE_CHECKING:
@@ -75,13 +77,26 @@ def _nonzero_rational(text: str) -> Fraction:
     return value
 
 
-def _int_at_least(text: str, lowest: int, what: str) -> int:
+# An integer literal as int() reads it, whatever its length.
+_INTEGER = re.compile(r"\s*([+-]?)\d+(?:_\d+)*\s*")
+
+
+def _int_at_least(text: str, lowest: int, what: str, highest: float = math.inf) -> int:
+    """The integer `text`, which must be at least `lowest` (that is, `what`)
+    and at most `highest`.  A literal too long for int() is out of range."""
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {excerpt(text)!r}") from None
+        literal = _INTEGER.fullmatch(text)
+        if literal is None:
+            raise argparse.ArgumentTypeError(f"not an integer: {excerpt(text)!r}") from None
+        value = -math.inf if literal[1] == "-" else math.inf
     if value < lowest:
         raise argparse.ArgumentTypeError(f"must be {what}: {excerpt(text)}")
+    if value > highest:
+        raise argparse.ArgumentTypeError(f"must be at most {highest}: {excerpt(text)}")
+    if value == math.inf:
+        raise argparse.ArgumentTypeError(f"too many digits: {excerpt(text)}")
     return value
 
 
@@ -95,16 +110,7 @@ def _positive(text: str) -> int:
 
 def _size_up_to(highest: int):
     """Argument type: an integer from 0 to `highest`."""
-
-    def size(text: str) -> int:
-        value = _nonneg(text)
-        if value > highest:
-            raise argparse.ArgumentTypeError(
-                f"must be at most {highest}: {excerpt(text)}"
-            )
-        return value
-
-    return size
+    return lambda text: _int_at_least(text, 0, "nonnegative", highest)
 
 
 def _add_format(p: argparse.ArgumentParser) -> None:
@@ -135,7 +141,9 @@ def _add_max(p: argparse.ArgumentParser, command: str) -> None:
 
 def _add_sweep(p: argparse.ArgumentParser, command: str) -> None:
     _add_max(p, command)
-    p.add_argument("--jobs", type=_positive, default=default_jobs(),
+    # `parallel_map` caps the workers at the cpu count too; reading the count
+    # here keeps the fork-join code out of every other subcommand's start
+    p.add_argument("--jobs", type=_positive, default=os.cpu_count() or 1,
                    help="worker processes, at most the cpu count (default: cpu count)")
 
 

@@ -16,8 +16,8 @@ are unchanged by a positive scale and cheaper without `Fraction`s.
 cached transpose) at the vector's nonzero indices only, so a vector in one
 weight space costs that space's nonzeros, not the matrix dimension.
 
-`product_identity_holds` checks an identity a@b - s·(c@d) = e in full, one
-row at a time: both products of a row and the row of e go into one
+`product_identity_holds` checks an identity a@b - s·(c@d) = t·e in full,
+one row at a time: both products of a row and the row of e go into one
 accumulator, which must come out zero.  No product matrix is built and no
 row is sorted, so the check costs the products' multiplications only.
 
@@ -242,19 +242,29 @@ def kron_sum(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         )
     d = b.rows
     b_nz = b.nonzero_rows
+    split = None
     out = []
     for i, arow in enumerate(a.nonzero_rows):
         base = i * d
         below = [(k * d, x) for k, x in arow if k < i]
         above = [(k * d, x) for k, x in arow if k > i]
         diag = next((x for k, x in arow if k == i), 0)
+        if diag and split is None:
+            # b's row j around its diagonal: the entries left of it, its
+            # value and the entries right of it, split once for all of a
+            split = [
+                ([e for e in brow if e[0] < j], next((y for l, y in brow if l == j), 0),
+                 [e for e in brow if e[0] > j])
+                for j, brow in enumerate(b_nz)
+            ]
         for j, brow in enumerate(b_nz):
             if diag:
-                at = diag + next((y for l, y in brow if l == j), 0)
-                row = [(base + l, y) for l, y in brow if l < j]
+                left, at, right = split[j]
+                at += diag
+                row = [(base + l, y) for l, y in left]
                 if at:
                     row.append((base + j, at))
-                row += [(base + l, y) for l, y in brow if l > j]
+                row += [(base + l, y) for l, y in right]
             else:
                 row = [(base + l, y) for l, y in brow]
             if below:
@@ -272,12 +282,15 @@ def product_identity_holds(
     d: ExactMatrix,
     e: ExactMatrix,
     s: Scalar = 1,
+    t: Scalar = 1,
 ) -> bool:
-    """Whether a@b - s·(c@d) == e, compared in every entry.
+    """Whether a@b - s·(c@d) == t·e, compared in every entry.
 
-    Each row of both products is added, and the row of e subtracted, in one
-    accumulator, which must hold only zeros; no product matrix is built.
-    Shapes that `@` or `-` would reject raise ValueError.
+    Each row of both products is added, and t times the row of e
+    subtracted, in one accumulator list for the whole call; every column
+    the row touched must then hold zero, which leaves the list zero for the
+    next row.  No product matrix is built.  Shapes that `@` or `-` would
+    reject raise ValueError.
     """
     for left, right in ((a, b), (c, d)):
         if left.cols != right.rows:
@@ -288,20 +301,23 @@ def product_identity_holds(
     if len(shapes) != 1:
         raise ValueError(f"shape mismatch: {' vs '.join(map(str, sorted(shapes)))}")
     b_nz, d_nz = b.nonzero_rows, d.nonzero_rows
+    acc: list[Scalar] = [0] * e.cols
     for arow, crow, erow in zip(a.nonzero_rows, c.nonzero_rows, e.nonzero_rows):
-        acc: dict[int, Scalar] = {}
-        get = acc.get
+        touched = list(erow)
         for k, x in arow:
             for j, y in b_nz[k]:
-                acc[j] = get(j, 0) + x * y
+                acc[j] += x * y
+            touched += b_nz[k]
         for k, x in crow:
             x = s * x
             for j, y in d_nz[k]:
-                acc[j] = get(j, 0) - x * y
+                acc[j] -= x * y
+            touched += d_nz[k]
         for j, v in erow:
-            acc[j] = get(j, 0) - v
-        if any(acc.values()):
-            return False
+            acc[j] -= t * v
+        for j, _ in touched:
+            if acc[j]:
+                return False
     return True
 
 
@@ -380,14 +396,18 @@ def primitive_integer(a: ExactMatrix) -> ExactMatrix:
     if not values:
         return a
     den, g = _content(values)
-    return ExactMatrix._stored(
-        a.rows,
-        a.cols,
-        tuple(
-            tuple((j, x.numerator // g * (den // x.denominator)) for j, x in row)
-            for row in a.nonzero_rows
-        ),
-    )
+    # each run of one value object is converted once: a Kronecker product
+    # of canonical forms holds a single product object (`kron`)
+    last = scaled = None
+    rows = []
+    for row in a.nonzero_rows:
+        out = []
+        for j, x in row:
+            if x is not last:
+                last, scaled = x, x.numerator // g * (den // x.denominator)
+            out.append((j, scaled))
+        rows.append(tuple(out))
+    return ExactMatrix._stored(a.rows, a.cols, tuple(rows))
 
 
 def _coprime_integer_row(row: Row) -> dict[int, int]:
@@ -395,8 +415,12 @@ def _coprime_integer_row(row: Row) -> dict[int, int]:
 
     A row of `int`s needs only their gcd, and comes back as it is when that
     is 1 (a primitive integer Gram matrix); any `Fraction` in the row sends
-    it through `_content`.
+    it through `_content`.  A row with one entry (every row of a tensor Gram
+    matrix) becomes {j: ±1}, which is what the general path computes.
     """
+    if len(row) == 1:
+        (j, x), = row
+        return {j: 1 if x > 0 else -1}
     values = [x for _, x in row]
     if all(type(x) is int for x in values):
         g = math.gcd(*values)

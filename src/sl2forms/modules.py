@@ -187,9 +187,9 @@ def check_relations(module: WeightModule) -> RelationReport:
     failures = []
     if not product_identity_holds(x, y, y, x, h):
         failures.append("[X,Y]=H")
-    if not product_identity_holds(h, x, x, h, x.scaled(2)):
+    if not product_identity_holds(h, x, x, h, x, t=2):
         failures.append("[H,X]=2X")
-    if not product_identity_holds(h, y, y, h, y.scaled(-2)):
+    if not product_identity_holds(h, y, y, h, y, t=-2):
         failures.append("[H,Y]=-2Y")
     return RelationReport(label=module.label, failures=tuple(failures))
 

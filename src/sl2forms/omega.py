@@ -128,7 +128,10 @@ def y_kernel_singular(m: int, n: int, k: int) -> ModuleVector:
     for t, j in enumerate(indices):
         for i, v in columns[j]:
             rows.setdefault(i, []).append((t, v))
-    restricted = ExactMatrix.from_sparse(len(rows), len(indices), rows.values())
+    # each row is in column order, with no zeros: `_stored` takes it as it is
+    restricted = ExactMatrix._stored(
+        len(rows), len(indices), tuple(map(tuple, rows.values()))
+    )
     kernel = null_space(restricted)
     if len(kernel) != 1:
         raise InconsistencyError(

@@ -2,13 +2,15 @@
 parameter grid and reported uniformly.
 
 Each suite returns a `SuiteResult` with an exact check count and the list
-of failing cases (expected empty).  `_sweep` runs every suite: it rejects a
-negative bound, runs in this process the checks not stated per (m, n) pair
-(on each V_m, and each Karlsson-Minton route's own sweep), then streams the
-grid: a task per pair builds V_m⊗V_n once and runs the suites stated for it
-in order, so memory does not grow with the number of pairs.  Tasks can run in
-worker processes; aggregation follows input order, so the result is
-independent of the worker count.  A case that raises is one failure.
+of failing cases (expected empty).  `_sweep` runs every suite as one plan:
+it rejects a negative bound, then maps one list of tasks.  Each suite's
+checks not stated per (m, n) pair (on each V_m, or a Karlsson-Minton
+route's own sweep) are one task, and each pair is one task that builds
+V_m⊗V_n once and runs the suites stated for it in order, so memory does not
+grow with the number of pairs.  Tasks are listed heaviest first by a cost
+estimate, so that worker processes finish together, and their results are
+put back in suite and grid order: the result is independent of the worker
+count.  A case that raises is one failure.
 """
 
 from __future__ import annotations
@@ -124,6 +126,9 @@ _PAIR_STEPS = {
     "omega-signs": _omega_pair,
 }
 _PER_K = ("singular-vectors", "x-power", "omega-signs")
+# Every suite of `verify_all`, in report order.
+SUITES = ("relations", "star-forms", "decomposition", "singular-vectors", "x-power",
+          "karlsson-minton", "3f2-route", "omega-signs")
 
 
 def _pair(pair, q, r, names) -> list[tuple[int, list[str], float]]:
@@ -165,23 +170,50 @@ def _local_checks(name, bound, q, r, corrupt) -> tuple[int, list[str]]:
     return 0, []
 
 
+def _cost(task, bound) -> float:
+    """Estimated time of a task, in units of one basis vector of a pair.
+
+    A pair task takes time in proportion to dim V_m⊗V_n = (m+1)(n+1).  Both
+    Karlsson-Minton sweeps walk about bound^4 tuples, and the checks on
+    each V_m about bound^2 basis vectors; their scales were fitted to timed
+    tasks at bounds 8 to 20.  At bound 12 each route sweep is about as heavy
+    as the largest pair, or heavier.
+    """
+    if isinstance(task, tuple):
+        m, n = task
+        return (m + 1) * (n + 1)
+    side = (bound + 1) ** 2
+    scales = {"karlsson-minton": side / 130, "3f2-route": side / 65,
+              "relations": 1 / 16, "star-forms": 1 / 3}
+    return side * scales.get(task, 0)
+
+
+def _task(task, bound, q, r, names, corrupt) -> list[tuple[int, list[str], float]]:
+    """(checks, failures, seconds) of a suite's local checks, or of each
+    named suite on a pair."""
+    if isinstance(task, str):
+        t0 = time.perf_counter()
+        checks, failures = _local_checks(task, bound, q, r, corrupt)
+        return [(checks, failures, time.perf_counter() - t0)]
+    return _pair(task, q, r, names)
+
+
 def _sweep(bound, names, q=1, r=1, jobs=1, corrupt=False) -> list[SuiteResult]:
-    """The named suites, each timed: local checks in this process, then one
-    task per (m, n) pair with m, n ≤ bound if any suite is stated per pair.
-    Under jobs > 1 a suite's seconds are worker time summed over the pairs."""
+    """The named suites, each timed: one task per suite for its local checks
+    and, if any suite is stated per pair, one per (m, n) with m, n ≤ bound.
+    Under jobs > 1 a suite's seconds are summed over the processes."""
     if bound < 0:
         raise ValueError(f"bound must be nonnegative (got {bound})")
     q, r = Fraction(q), Fraction(r)
-    totals = {}
-    for name in names:
-        t0 = time.perf_counter()
-        checks, failures = _local_checks(name, bound, q, r, corrupt)
-        totals[name] = [checks, failures, time.perf_counter() - t0]
     paired = tuple(name for name in names if name in _PAIR_STEPS)
-    grid = [(m, n) for m in range(bound + 1) for n in range(bound + 1)]
-    pairs = partial(_pair, q=q, r=r, names=paired)
-    for results in parallel_map(pairs, grid, jobs) if paired else ():
-        for name, result in zip(paired, results):
+    grid = [(m, n) for m in range(bound + 1) for n in range(bound + 1)] if paired else []
+    tasks = [*names, *grid]
+    order = sorted(range(len(tasks)), key=lambda i: -_cost(tasks[i], bound))
+    run = partial(_task, bound=bound, q=q, r=r, names=paired, corrupt=corrupt)
+    done = dict(zip(order, parallel_map(run, [tasks[i] for i in order], jobs)))
+    totals = {name: [0, [], 0.0] for name in names}
+    for i, task in enumerate(tasks):
+        for name, result in zip(paired if isinstance(task, tuple) else (task,), done[i]):
             totals[name][:] = [a + b for a, b in zip(totals[name], result)]
     return [SuiteResult(name, c, tuple(f), s) for name, (c, f, s) in totals.items()]
 
@@ -252,5 +284,4 @@ def verify_all(
 
     A negative bound is rejected before any suite runs.
     """
-    *per_module, omega = _sweep(bound, tuple(_PAIR_STEPS), q, r, jobs, corrupt)
-    return [*per_module, sweep_karlsson_minton(bound), sweep_series_route(bound), omega]
+    return _sweep(bound, SUITES, q, r, jobs, corrupt)

@@ -327,6 +327,30 @@ class TestLongArguments:
         assert len(capsys.readouterr().err) < 600
 
 
+class TestOversizedIntegers:
+    """An integer literal past int()'s digit limit (4,300 by default) is
+    out of range, not "not an integer"; the echo stays short."""
+
+    HUGE = "9" * 5000
+
+    @pytest.mark.parametrize("args, message", [
+        (["verify-km", "--max", HUGE], "must be at most 72: 99"),
+        (["verify-all", "--max", "1", "--jobs", HUGE], "too many digits: 99"),
+        (["singular-vector", "1", "1", HUGE], "too many digits: 99"),
+        (["verify-all", "--max", "1", "--jobs", "-" + HUGE], "must be positive: -99"),
+        (["decompose", "-" + HUGE, "0"], "must be nonnegative: -99"),
+        (["verify-km", "--max", HUGE + "x"], "not an integer: '99"),
+    ], ids=["bounded", "positive", "nonnegative", "negative-positive",
+            "negative-size", "malformed"])
+    def test_reported_as_out_of_range(self, args, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "characters)" in err and len(err) < 600
+
+
 class TestFullVerificationScript:
     """scripts/full_verification.py parses --max and --jobs with the CLI's
     argument types, and bounds --max as `verify-all` does."""

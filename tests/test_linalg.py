@@ -426,6 +426,14 @@ class TestProductIdentity:
         assert product_identity_holds(a, b, c, d, e, s) == (exact == e)
         assert product_identity_holds(a, b, c, d, exact, s)
 
+    @settings(max_examples=100)
+    @given(identity_cases(), st.sampled_from([2, -2, Fraction(-1, 3)]))
+    def test_scale_of_e(self, case, t):
+        a, b, c, d, e, s = case
+        exact = a @ b - (c @ d).scaled(s)
+        assert product_identity_holds(a, b, c, d, e, s, t) == (exact == e.scaled(t))
+        assert product_identity_holds(a, b, c, d, exact.scaled(Fraction(1) / t), s, t)
+
     def test_shape_mismatch_raises(self):
         # all zero, so only a shape check can reject them
         z = zeros
@@ -594,6 +602,7 @@ class TestCoprimeIntegerRow:
     def test_frozen_rows(self):
         assert _coprime_integer_row(((0, 4), (3, -6), (5, 10))) == {0: 2, 3: -3, 5: 5}
         assert _coprime_integer_row(((1, -7),)) == {1: -1}
+        assert _coprime_integer_row(((2, Fraction(3, 5)),)) == {2: 1}
         assert _coprime_integer_row(((0, 1), (2, -1))) == {0: 1, 2: -1}
         integral = _coprime_integer_row(((0, Fraction(-9)), (1, Fraction(6))))
         assert integral == {0: -3, 1: 2}

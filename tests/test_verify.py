@@ -1,11 +1,15 @@
 """Verification suites: clean runs, the corruption hook, one bad case per
 suite, the per-pair stream, and determinism under different worker counts."""
 
+import math
+import os
+import signal
+import threading
 from fractions import Fraction
 
 import pytest
 
-from sl2forms import cli, forms, modules, omega, parallel, verify
+from sl2forms import cli, forms, hypergeom, modules, omega, parallel, verify
 from sl2forms.modules import ModuleVector
 from sl2forms.omega import InconsistencyError
 from sl2forms.verify import (
@@ -287,44 +291,119 @@ class TestDeterminismAndParallelism:
         assert (a.name, a.checks, a.failures) == (b.name, b.checks, b.failures)
 
     def test_worker_count_is_clamped(self, monkeypatch):
-        """Workers are min(jobs, cpu count, tasks); a stub pool records the
-        requested count, so no real pool is started."""
-        requested = []
+        """Workers are min(jobs, cpu count, tasks): each item reports its
+        square and the process that mapped it, and the calling process maps
+        the first."""
+        here = os.getpid()
 
-        class StubPool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
+        def workers(count, jobs):
+            out = parallel.parallel_map(lambda x: (x * x, os.getpid()), range(count), jobs)
+            assert [value for value, _ in out] == [x * x for x in range(count)]
+            assert out[0][1] == here
+            return len({pid for _, pid in out})
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", StubPool)
         monkeypatch.setattr(parallel.os, "cpu_count", lambda: 4)
-        square = lambda x: x * x
-        assert parallel.parallel_map(square, range(10), jobs=1000) == [
-            x * x for x in range(10)
-        ]
-        assert parallel.parallel_map(square, range(3), jobs=1000) == [0, 1, 4]
-        assert parallel.parallel_map(square, range(10), jobs=2) == [
-            x * x for x in range(10)
-        ]
-        assert requested == [4, 3, 2]
+        assert [workers(10, 1000), workers(3, 1000), workers(10, 2)] == [4, 3, 2]
         # one worker, by request, cpu count or task count, runs in-process
-        assert parallel.parallel_map(square, range(10), jobs=1) == [
-            x * x for x in range(10)
-        ]
-        assert parallel.parallel_map(square, [5], jobs=1000) == [25]
+        assert workers(10, 1) == 1
+        assert workers(1, 1000) == 1
         monkeypatch.setattr(parallel.os, "cpu_count", lambda: None)
-        assert parallel.parallel_map(square, range(10), jobs=1000) == [
-            x * x for x in range(10)
-        ]
-        assert requested == [4, 3, 2]
+        assert workers(10, 1000) == 1
 
     def test_repeat_runs_identical(self):
         assert strip_timing(verify_all(2)) == strip_timing(verify_all(2))
+
+
+class TestForkJoin:
+    """`parallel_map` with two workers: a forked child and this process.
+    Every case ends with no child of this process left."""
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def in_child(action):
+        """A task that runs `action` on item 1, which the child maps."""
+        parent = os.getpid()
+
+        def task(x):
+            if x == 1:
+                assert os.getpid() != parent
+                action()
+            return x
+
+        return task
+
+    def test_snake_order_and_input_order(self):
+        # shares of 2 workers: items 0, 3, 4, 7 here and 1, 2, 5, 6 in the child
+        here = os.getpid()
+        out = parallel.parallel_map(lambda x: (x * x, os.getpid()), range(8), jobs=2)
+        assert [value for value, _ in out] == [x * x for x in range(8)]
+        assert [pid == here for _, pid in out] == [1, 0, 0, 1, 1, 0, 0, 1]
+
+    def test_exception_in_child_is_raised_in_parent(self):
+        def fail():
+            raise KeyError("in the child")
+
+        with pytest.raises(KeyError, match="in the child"):
+            parallel.parallel_map(self.in_child(fail), range(4), jobs=2)
+
+    def test_unpicklable_exception_comes_back_by_name(self):
+        class Local(Exception):
+            pass
+
+        def fail():
+            raise Local("not picklable")
+
+        with pytest.raises(parallel.WorkerError, match="worker 1 raised Local: not picklable"):
+            parallel.parallel_map(self.in_child(fail), range(4), jobs=2)
+
+    def test_child_killed_by_a_signal_is_an_error(self):
+        def die():
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        with pytest.raises(parallel.WorkerError, match="worker 1 .*SIGKILL"):
+            parallel.parallel_map(self.in_child(die), range(4), jobs=2)
+
+    def test_child_is_killed_when_this_share_raises(self):
+        def task(x):
+            if x == 0:
+                raise ValueError("in the parent")
+            signal.pause()  # the child waits until it is killed
+
+        with pytest.raises(ValueError, match="in the parent"):
+            parallel.parallel_map(task, range(2), jobs=2)
+
+    def test_a_threaded_process_maps_in_process(self):
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(10,))
+        waiter.start()
+        try:
+            pids = parallel.parallel_map(lambda _: os.getpid(), range(4), jobs=2)
+        finally:
+            release.set()
+            waiter.join(10)
+        assert not waiter.is_alive()
+        assert pids == [os.getpid()] * 4
+
+    @pytest.mark.parametrize("corrupt", [[], ["--debug-corrupt"]], ids=["clean", "corrupt"])
+    def test_verify_all_stdout_does_not_depend_on_jobs(self, capsys, corrupt):
+        out = []
+        for jobs in ("1", "2"):
+            code = cli.main(["verify-all", "--max", "7", "--jobs", jobs, *corrupt])
+            out.append((code, capsys.readouterr().out))
+        assert out[0] == out[1]
+        assert out[0][0] == (1 if corrupt else 0)
+
+    def test_karlsson_minton_corruption_at_both_worker_counts(self, monkeypatch):
+        # perm(5, 4) feeds only the direct Karlsson-Minton sum
+        monkeypatch.setattr(
+            hypergeom, "perm", lambda x, y: math.perm(x, y) + ((x, y) == (5, 4))
+        )
+        serial, forked = (strip_timing(verify_all(5, jobs=jobs)) for jobs in (1, 2))
+        assert serial == forked
+        assert [name for name, _, failures in serial if failures] == ["karlsson-minton"]
