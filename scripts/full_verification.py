@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from itertools import product
 
-from sl2forms.cli import _SWEEP_MAX, _positive, _size_up_to
+from sl2forms.cli import _SWEEP_MAX, _integer
 from sl2forms.verify import verify_all
 
 QR_GRID = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3))
@@ -22,9 +22,9 @@ QR_GRID = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3))
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     highest = _SWEEP_MAX["verify-all"]
-    parser.add_argument("--max", type=_size_up_to(highest), default=12,
+    parser.add_argument("--max", type=_integer(0, highest), default=12,
                         help=f"bound on m, n, at most {highest} (default 12)")
-    parser.add_argument("--jobs", type=_positive, default=1, help="worker processes")
+    parser.add_argument("--jobs", type=_integer(1), default=1, help="worker processes")
     args = parser.parse_args()
 
     all_ok = True

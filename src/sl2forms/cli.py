@@ -58,6 +58,14 @@ _MODULE_MAX = 200
 _SWEEP_MAX = {"verify-km": 72, "verify-star": 48, "verify-all": 40}
 
 
+# A rational literal of plain digits as Fraction() reads it, whatever its
+# length: p/q with q nonzero, or a decimal with an optional exponent.
+# Fraction() refuses one only when a digit run is too long for int().  Like
+# `_INTEGER` below, it is compiled on the error path only: compiling both on
+# import took about 1 ms of every process's start.
+_RATIONAL = r"\s*[+-]?(?:\d+\s*/\s*0*[1-9]\d*|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)\s*"
+
+
 def _nonzero_rational(text: str) -> Fraction:
     too_big = (
         f"numerator and denominator must be at most 10^{_QR_DIGITS}: {excerpt(text)}"
@@ -69,7 +77,9 @@ def _nonzero_rational(text: str) -> Fraction:
     try:
         value = parse_rational(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        well_formed = re.fullmatch(_RATIONAL, text) is not None
+        message = f"too many digits: {excerpt(text)}" if well_formed else str(exc)
+        raise argparse.ArgumentTypeError(message) from None
     if not value:
         raise argparse.ArgumentTypeError(f"must be nonzero: {excerpt(text)}")
     if max(abs(value.numerator), value.denominator) > _QR_LIMIT:
@@ -78,39 +88,33 @@ def _nonzero_rational(text: str) -> Fraction:
 
 
 # An integer literal as int() reads it, whatever its length.
-_INTEGER = re.compile(r"\s*([+-]?)\d+(?:_\d+)*\s*")
+_INTEGER = r"\s*([+-]?)\d+(?:_\d+)*\s*"
 
 
-def _int_at_least(text: str, lowest: int, what: str, highest: float = math.inf) -> int:
-    """The integer `text`, which must be at least `lowest` (that is, `what`)
-    and at most `highest`.  A literal too long for int() is out of range."""
-    try:
-        value = int(text)
-    except ValueError:
-        literal = _INTEGER.fullmatch(text)
-        if literal is None:
-            raise argparse.ArgumentTypeError(f"not an integer: {excerpt(text)!r}") from None
-        value = -math.inf if literal[1] == "-" else math.inf
-    if value < lowest:
-        raise argparse.ArgumentTypeError(f"must be {what}: {excerpt(text)}")
-    if value > highest:
-        raise argparse.ArgumentTypeError(f"must be at most {highest}: {excerpt(text)}")
-    if value == math.inf:
-        raise argparse.ArgumentTypeError(f"too many digits: {excerpt(text)}")
-    return value
+def _integer(lowest: int, highest: float = math.inf):
+    """Argument type: an integer from `lowest`, 0 or 1, to `highest`.  The
+    wording of a value below `lowest` follows from it.  A literal too long
+    for int() is out of range."""
+    what = {0: "nonnegative", 1: "positive"}[lowest]
 
+    def parse(text: str) -> int:
+        shown = excerpt(text)
+        try:
+            value = int(text)
+        except ValueError:
+            literal = re.fullmatch(_INTEGER, text)
+            if literal is None:
+                raise argparse.ArgumentTypeError(f"not an integer: {shown!r}") from None
+            value = -math.inf if literal[1] == "-" else math.inf
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be {what}: {shown}")
+        if value > highest:
+            raise argparse.ArgumentTypeError(f"must be at most {highest}: {shown}")
+        if value == math.inf:
+            raise argparse.ArgumentTypeError(f"too many digits: {shown}")
+        return value
 
-def _nonneg(text: str) -> int:
-    return _int_at_least(text, 0, "nonnegative")
-
-
-def _positive(text: str) -> int:
-    return _int_at_least(text, 1, "positive")
-
-
-def _size_up_to(highest: int):
-    """Argument type: an integer from 0 to `highest`."""
-    return lambda text: _int_at_least(text, 0, "nonnegative", highest)
+    return parse
 
 
 def _add_format(p: argparse.ArgumentParser) -> None:
@@ -129,13 +133,13 @@ def _add_qr(p: argparse.ArgumentParser) -> None:
 
 def _add_sizes(p: argparse.ArgumentParser, *names: str) -> None:
     for name in names:
-        p.add_argument(name, type=_size_up_to(_MODULE_MAX),
+        p.add_argument(name, type=_integer(0, _MODULE_MAX),
                        help=f"module label, at most {_MODULE_MAX}")
 
 
 def _add_max(p: argparse.ArgumentParser, command: str) -> None:
     highest = _SWEEP_MAX[command]
-    p.add_argument("--max", type=_size_up_to(highest), default=10,
+    p.add_argument("--max", type=_integer(0, highest), default=10,
                    help=f"sweep bound on m and n, at most {highest} (default 10)")
 
 
@@ -143,7 +147,7 @@ def _add_sweep(p: argparse.ArgumentParser, command: str) -> None:
     _add_max(p, command)
     # `parallel_map` caps the workers at the cpu count too; reading the count
     # here keeps the fork-join code out of every other subcommand's start
-    p.add_argument("--jobs", type=_positive, default=os.cpu_count() or 1,
+    p.add_argument("--jobs", type=_integer(1), default=os.cpu_count() or 1,
                    help="worker processes, at most the cpu count (default: cpu count)")
 
 
@@ -174,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="the Y-kernel vector of weight -(m+n-2k)")
     p.set_defaults(run=cmd_singular_vector)
     _add_sizes(p, "m", "n")
-    p.add_argument("k", type=_nonneg)
+    p.add_argument("k", type=_integer(0))
     _add_format(p)
 
     p = sub.add_parser("omega-table",

@@ -144,11 +144,12 @@ def y_kernel_singular(m: int, n: int, k: int) -> ModuleVector:
     return ModuleVector(module, tuple(coords))
 
 
-# Holds every k of a pair with min(m, n) < 32, so the x-power check and the
-# ω brute route of one pair compute each vector once.  Past that bound the
-# LRU evicts each vector before its second read, and the ω route recomputes
-# every one: V₃₂⊗V₃₂ makes 66 `apply_power` calls for its 33 triples.
-@lru_cache(maxsize=32)
+# Holds every k of one pair up to V₄₀⊗V₄₀, the largest pair of `verify-all`,
+# so the x-power check and the ω brute route of a pair compute each vector
+# once.  A smaller cache evicts each vector of a pair with more singular
+# lines than it holds before the second read, and the ω route recomputes
+# all of them.
+@lru_cache(maxsize=41)
 def x_power_b_brute(m: int, n: int, k: int) -> ModuleVector:
     """X^{s_k} b by s_k-fold application of the tensor module's X matrix."""
     _check_k(m, n, k)

@@ -2,15 +2,15 @@
 parameter grid and reported uniformly.
 
 Each suite returns a `SuiteResult` with an exact check count and the list
-of failing cases (expected empty).  `_sweep` runs every suite as one plan:
-it rejects a negative bound, then maps one list of tasks.  Each suite's
-checks not stated per (m, n) pair (on each V_m, or a Karlsson-Minton
-route's own sweep) are one task, and each pair is one task that builds
-V_m⊗V_n once and runs the suites stated for it in order, so memory does not
-grow with the number of pairs.  Tasks are listed heaviest first by a cost
-estimate, so that worker processes finish together, and their results are
-put back in suite and grid order: the result is independent of the worker
-count.  A case that raises is one failure.
+of failing cases (expected empty).  `_sweep` runs the named suites as one
+plan of tasks, each naming the suites it reports to, its estimated cost and
+its call.  A suite's checks not stated per (m, n) pair (on each V_m, or a
+Karlsson-Minton route's own sweep) are one task, and each pair is one task
+that builds V_m⊗V_n once and runs the per-pair suites in order, so memory
+does not grow with the number of pairs.  Tasks are mapped heaviest first,
+so that worker processes finish together, and their results are put back
+in suite and grid order: the result is independent of the worker count.  A
+case that raises is one failure.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 from functools import partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .forms import canonical_form, is_star_form, tensor_of_canonical_forms
 from .hypergeom import km_range_verify, series_route_verify
@@ -113,89 +113,84 @@ def _omega_pair(m: int, n: int, q: Fraction, r: Fraction) -> list[str]:
     return [f"V_{m}⊗V_{n} q={q} r={r}: signs {signs}"]
 
 
-# The per-pair suites in stream order.  The ω brute route shares the pair's
-# Q⊗R with star-forms and each X^{s_k}b with x-power, since all three run in
-# one pair task and whichever runs first fills the cache.  The X^{s_k}b cache
-# holds a whole pair only while min(m, n) < 32 (`omega.x_power_b_brute`).
+# The per-pair suites in stream order, each flagged if it makes one check
+# per singular line k = 0..min(m, n) rather than one per pair.  In one pair
+# task the ω brute route reads the Q⊗R that star-forms built and each
+# X^{s_k}b that x-power built, or fills them first; `omega.x_power_b_brute`
+# says why its cache holds a whole pair.
 _PAIR_STEPS = {
-    "relations": _relations_pair,
-    "star-forms": _star_pair,
-    "decomposition": _decompose_pair,
-    "singular-vectors": _singular_pair,
-    "x-power": _x_power_pair,
-    "omega-signs": _omega_pair,
+    "relations": (_relations_pair, False),
+    "star-forms": (_star_pair, False),
+    "decomposition": (_decompose_pair, False),
+    "singular-vectors": (_singular_pair, True),
+    "x-power": (_x_power_pair, True),
+    "omega-signs": (_omega_pair, True),
 }
-_PER_K = ("singular-vectors", "x-power", "omega-signs")
+# Each suite with checks not stated per pair, and its task's cost given
+# side = (bound+1)^2, in units of one basis vector of a pair (which costs
+# (m+1)(n+1)).  The Karlsson-Minton sweeps walk about bound^4 tuples and the
+# V_m checks about bound^2 vectors; the scales were fitted at bounds 8 to 20.
+_LOCAL_COST = {
+    "relations": lambda side: side / 16,
+    "star-forms": lambda side: side / 3,
+    "karlsson-minton": lambda side: side**2 / 130,
+    "3f2-route": lambda side: side**2 / 65,
+}
 # Every suite of `verify_all`, in report order.
 SUITES = ("relations", "star-forms", "decomposition", "singular-vectors", "x-power",
           "karlsson-minton", "3f2-route", "omega-signs")
 
+# (checks, failures, seconds) of each suite a task reports to
+_Results = list[tuple[int, list[str], float]]
 
-def _pair(pair, q, r, names) -> list[tuple[int, list[str], float]]:
+
+class _Task(NamedTuple):
+    """A task of the plan: the suites it reports to, its cost and its call."""
+
+    suites: tuple[str, ...]
+    cost: float
+    run: Callable[[], _Results]
+
+
+def _pair(pair, q, r, names) -> _Results:
     """(checks, failures, seconds) of each named suite on V_m⊗V_n."""
     m, n = pair
     out = []
     for name in names:
+        step, per_k = _PAIR_STEPS[name]
         t0 = time.perf_counter()
         try:
-            failures = _PAIR_STEPS[name](m, n, q, r)
+            failures = step(m, n, q, r)
         except (InconsistencyError, ValueError) as exc:
             # a bad case is one failure; it must not abort the stream
             failures = [f"V_{m}⊗V_{n}: {exc}"]
-        checks = min(m, n) + 1 if name in _PER_K else 1
-        out.append((checks, failures, time.perf_counter() - t0))
+        out.append((min(m, n) + 1 if per_k else 1, failures, time.perf_counter() - t0))
     return out
 
 
-def _local_checks(name, bound, q, r, corrupt) -> tuple[int, list[str]]:
-    """The checks not stated per pair: on each V_m, or a KM route's sweep."""
+def _local_checks(name, bound, q, r, corrupt) -> _Results:
+    """(checks, failures, seconds) of a suite's checks not stated per pair:
+    on each V_m, or a Karlsson-Minton route's own sweep."""
+    t0 = time.perf_counter()
     failures = []
-    if name in ("karlsson-minton", "3f2-route"):
-        route = km_range_verify if name == "karlsson-minton" else series_route_verify
-        report = route(bound)
-        return report.tuples, [f"(k,l,m,n)={t}" for t in report.failures]
     if name == "relations":
         modules = [irreducible(m) for m in range(bound + 1)]
         if corrupt:
             modules.append(perturbed(irreducible(bound), "X", 0, 0, 1))
         for module in modules:
             failures += _relation_failures(check_relations(module))
-        return len(modules), failures
-    if name == "star-forms":
+        checks = len(modules)
+    elif name == "star-forms":
         for m in range(bound + 1):
             for c in (q, r):
                 report = is_star_form(irreducible(m), canonical_form(m, c))
                 failures += _star_failures(report, f"q={c}")
-        return 2 * (bound + 1), failures
-    return 0, []
-
-
-def _cost(task, bound) -> float:
-    """Estimated time of a task, in units of one basis vector of a pair.
-
-    A pair task takes time in proportion to dim V_m⊗V_n = (m+1)(n+1).  Both
-    Karlsson-Minton sweeps walk about bound^4 tuples, and the checks on
-    each V_m about bound^2 basis vectors; their scales were fitted to timed
-    tasks at bounds 8 to 20.  At bound 12 each route sweep is about as heavy
-    as the largest pair, or heavier.
-    """
-    if isinstance(task, tuple):
-        m, n = task
-        return (m + 1) * (n + 1)
-    side = (bound + 1) ** 2
-    scales = {"karlsson-minton": side / 130, "3f2-route": side / 65,
-              "relations": 1 / 16, "star-forms": 1 / 3}
-    return side * scales.get(task, 0)
-
-
-def _task(task, bound, q, r, names, corrupt) -> list[tuple[int, list[str], float]]:
-    """(checks, failures, seconds) of a suite's local checks, or of each
-    named suite on a pair."""
-    if isinstance(task, str):
-        t0 = time.perf_counter()
-        checks, failures = _local_checks(task, bound, q, r, corrupt)
-        return [(checks, failures, time.perf_counter() - t0)]
-    return _pair(task, q, r, names)
+        checks = 2 * (bound + 1)
+    else:
+        route = km_range_verify if name == "karlsson-minton" else series_route_verify
+        report = route(bound)
+        checks, failures = report.tuples, [f"(k,l,m,n)={t}" for t in report.failures]
+    return [(checks, failures, time.perf_counter() - t0)]
 
 
 def _sweep(bound, names, q=1, r=1, jobs=1, corrupt=False) -> list[SuiteResult]:
@@ -205,15 +200,19 @@ def _sweep(bound, names, q=1, r=1, jobs=1, corrupt=False) -> list[SuiteResult]:
     if bound < 0:
         raise ValueError(f"bound must be nonnegative (got {bound})")
     q, r = Fraction(q), Fraction(r)
+    side = (bound + 1) ** 2
+    tasks = [_Task((name,), _LOCAL_COST[name](side),
+                   partial(_local_checks, name, bound, q, r, corrupt))
+             for name in names if name in _LOCAL_COST]
     paired = tuple(name for name in names if name in _PAIR_STEPS)
-    grid = [(m, n) for m in range(bound + 1) for n in range(bound + 1)] if paired else []
-    tasks = [*names, *grid]
-    order = sorted(range(len(tasks)), key=lambda i: -_cost(tasks[i], bound))
-    run = partial(_task, bound=bound, q=q, r=r, names=paired, corrupt=corrupt)
-    done = dict(zip(order, parallel_map(run, [tasks[i] for i in order], jobs)))
+    if paired:
+        tasks += [_Task(paired, (m + 1) * (n + 1), partial(_pair, (m, n), q, r, paired))
+                  for m in range(bound + 1) for n in range(bound + 1)]
+    plan = sorted(tasks, key=lambda task: -task.cost)
+    done = dict(zip(plan, parallel_map(lambda task: task.run(), plan, jobs)))
     totals = {name: [0, [], 0.0] for name in names}
-    for i, task in enumerate(tasks):
-        for name, result in zip(paired if isinstance(task, tuple) else (task,), done[i]):
+    for task in tasks:
+        for name, result in zip(task.suites, done[task]):
             totals[name][:] = [a + b for a, b in zip(totals[name], result)]
     return [SuiteResult(name, c, tuple(f), s) for name, (c, f, s) in totals.items()]
 

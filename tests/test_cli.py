@@ -351,6 +351,29 @@ class TestOversizedIntegers:
         assert "characters)" in err and len(err) < 600
 
 
+class TestOversizedRationals:
+    """A well-formed q or r literal with a digit run past int()'s digit
+    limit reads `too many digits`, as an integer does; the echo stays short."""
+
+    @pytest.mark.parametrize("value", [
+        "1" * 5000, "1/" + "3" * 5000, "0." + "0" * 5000 + "1",
+    ], ids=["integer", "denominator", "decimal"])
+    def test_reported_as_too_many_digits(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["omega-table", "1", "1", "--q", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --q: too many digits: {value[:40]}..." in err
+        assert "characters)" in err and len(err) < 600
+
+    @pytest.mark.parametrize("value", ["1/0", "1/" + "0" * 5000, "1/2e3", "x" * 5000])
+    def test_malformed_literal_is_not_too_long(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["omega-table", "1", "1", "--q", value])
+        assert exc.value.code == 2
+        assert "argument --q: not a rational literal: " in capsys.readouterr().err
+
+
 class TestFullVerificationScript:
     """scripts/full_verification.py parses --max and --jobs with the CLI's
     argument types, and bounds --max as `verify-all` does."""

@@ -255,15 +255,20 @@ class TestStream:
         assert info.currsize < triples
 
     @pytest.mark.parametrize("m, names", [
-        (31, ("x-power", "omega-signs")),   # the largest pair the cache holds
+        (31, ("x-power", "omega-signs")),
+        (40, ("x-power", "omega-signs")),   # the largest pair of verify-all
         (5, ("omega-signs", "x-power")),    # whichever suite runs first fills it
-    ], ids=["V31xV31", "omega-signs-first"])
+    ], ids=["V31xV31", "V40xV40", "omega-signs-first"])
     def test_one_pair_task_computes_each_power_once(self, monkeypatch, m, names):
         powers = count_calls(monkeypatch, omega, "apply_power")
         cold_caches()
         results = verify._pair((m, m), Fraction(-3, 2), Fraction(5, 7), names)
         assert [(checks, failures) for checks, failures, _ in results] == [(m + 1, [])] * 2
         assert len(powers) == m + 1
+
+    def test_x_power_cache_holds_the_largest_pair(self):
+        largest = cli._SWEEP_MAX["verify-all"]
+        assert omega.x_power_b_brute.cache_info().maxsize >= largest + 1
 
     def test_verify_star_builds_each_module_once(self, monkeypatch, capsys):
         maps = count_calls(monkeypatch, verify, "parallel_map")
@@ -274,6 +279,38 @@ class TestStream:
         assert info.currsize <= 1
         assert len(maps) == 1
         assert "star-forms: PASS (24 checks)" in capsys.readouterr().out
+
+
+class TestPlan:
+    """`_sweep` maps one task per suite with checks off the (m, n) grid and
+    one per pair when a named suite is stated per pair, and no task that
+    makes no check."""
+
+    @pytest.mark.parametrize("bound", [0, 3])
+    @pytest.mark.parametrize("entry, local, paired", [
+        (verify_all, 4, True),
+        (verify_star, 2, True),
+        (sweep_relations, 1, True),
+        (sweep_decomposition, 0, True),
+        (sweep_omega_signs, 0, True),
+        (sweep_karlsson_minton, 1, False),
+        (sweep_series_route, 1, False),
+    ], ids=lambda value: getattr(value, "__name__", None))
+    def test_mapped_tasks(self, monkeypatch, entry, local, paired, bound):
+        mapped = []
+
+        def recording_map(fn, items, jobs=1):
+            items = list(items)
+            results = parallel.parallel_map(fn, items, jobs)
+            mapped.append((items, results))
+            return results
+
+        monkeypatch.setattr(verify, "parallel_map", recording_map)
+        entry(bound)
+        [(items, results)] = mapped
+        assert len(items) == local + (bound + 1) ** 2 * paired
+        for result in results:
+            assert result and all(checks > 0 for checks, _, _ in result)
 
 
 class TestDeterminismAndParallelism:
