@@ -52,18 +52,33 @@ def _exponent(text: str) -> int:
 
 
 # The largest sizes accepted.  m and n stop at 200, where the digit bound
-# above holds.  Each sweep bound is about where one run at --jobs 1 takes a
-# minute on a 2-CPU x86 host with Python 3.11 (README).
+# above holds.  Each sweep bound is about where one run at --jobs 1 took a
+# minute on a 2-CPU x86 host with Python 3.11 (README); `verify-km --max 72`
+# now takes about 18 s there, and its bound is kept.
 _MODULE_MAX = 200
 _SWEEP_MAX = {"verify-km": 72, "verify-star": 48, "verify-all": 40}
 
 
-# A rational literal of plain digits as Fraction() reads it, whatever its
-# length: p/q with q nonzero, or a decimal with an optional exponent.
-# Fraction() refuses one only when a digit run is too long for int().  Like
-# `_INTEGER` below, it is compiled on the error path only: compiling both on
-# import took about 1 ms of every process's start.
-_RATIONAL = r"\s*[+-]?(?:\d+\s*/\s*0*[1-9]\d*|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)\s*"
+def _fraction_reads(text: str) -> bool:
+    try:
+        Fraction(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _rational_pattern() -> str:
+    """A rational literal as this Python's Fraction() reads it, whatever its
+    length: p/q with q nonzero, or a decimal with an optional exponent.
+    Fraction() refuses one only when a digit run is too long for int().
+    Python 3.11 added `_` between digits and 3.12 spaces around the slash,
+    so both are probed.  Like `_INTEGER` below, the pattern is built and
+    compiled on the error path only: compiling both on import took about
+    1 ms of every process's start."""
+    digits = r"\d+(?:_\d+)*" if _fraction_reads("1_0") else r"\d+"
+    slash = r"\s*/\s*" if _fraction_reads("1 / 2") else "/"
+    decimal = rf"(?:{digits}(?:\.(?:{digits})?)?|\.{digits})(?:[eE][+-]?{digits})?"
+    return rf"\s*[+-]?(?:{digits}{slash}(?=[0_]*[1-9]){digits}|{decimal})\s*"
 
 
 def _nonzero_rational(text: str) -> Fraction:
@@ -77,7 +92,7 @@ def _nonzero_rational(text: str) -> Fraction:
     try:
         value = parse_rational(text)
     except ValueError as exc:
-        well_formed = re.fullmatch(_RATIONAL, text) is not None
+        well_formed = re.fullmatch(_rational_pattern(), text) is not None
         message = f"too many digits: {excerpt(text)}" if well_formed else str(exc)
         raise argparse.ArgumentTypeError(message) from None
     if not value:
@@ -298,11 +313,25 @@ def cmd_omega_table(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_km(args: argparse.Namespace) -> int:
-    from .hypergeom import km_range_verify, series_route_verify
+    from .hypergeom import (
+        coverage_failures,
+        km_range_verify,
+        km_tuple_count,
+        series_route_verify,
+        series_tuple_count,
+    )
 
     direct = km_range_verify(args.max)
     series = series_route_verify(args.max)
     failures = [list(t) for t in direct.failures + series.failures]
+    # a sweep that checked other than its closed-form count of tuples fails
+    # the run; stdout keeps its schema, and the gap goes to stderr
+    gaps = [f"{label}: {gap}" for label, report, count in (
+        ("identity sweep", direct, km_tuple_count),
+        ("series cross-route", series, series_tuple_count),
+    ) for gap in coverage_failures(report, count(args.max))]
+    for gap in gaps:
+        print(gap, file=sys.stderr)
     if args.format == "json":
         _emit_json({"tuples": direct.tuples, "failures": failures})
     else:
@@ -310,7 +339,7 @@ def cmd_verify_km(args: argparse.Namespace) -> int:
               f"{len(direct.failures)} failures")
         print(f"series cross-route: {series.tuples} tuples, "
               f"{len(series.failures)} failures")
-    return 0 if not failures else 1
+    return 0 if not failures and not gaps else 1
 
 
 def _emit_suites(args: argparse.Namespace, suites: Sequence[SuiteResult]) -> int:

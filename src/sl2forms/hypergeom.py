@@ -31,30 +31,39 @@ This parameterization is derived here, not quoted from anywhere;
 the series route shares no code with the direct sum.  `to_3f2` refuses the
 n+l-2k < 0 case rather than patching prefactors.
 
-Both sweeps walk plain (k, l, m, n) int tuples in one fixed order and
-carry only integers; neither builds a record per tuple.  Each builds its
-tables once per sweep, sized by the bound, and every public wrapper runs
-the same core:
+Both sweeps carry only integers and build no record per tuple.  Each
+builds its tables once per sweep, sized by the bound, and walks (k, l)
+outermost, so that what depends only on k, l and m is computed once for a
+whole block of n; each puts its failures back in the (m, n, k, l) order of
+`admissible_tuples`.  Each route has one core, which the sweep and the
+public wrappers share:
 
 - Direct route.  `_km_tables` holds falling[j][x] = perm(x, j) and the
-  signed binomial rows (-1)^i C(k, i).  `_km_scaled` forms one tuple's
-  sum as a dot product of the row signed[k] with two slices of
-  falling-factorial rows, perm(m-i, l) read backwards from falling[l] and
-  perm(n-k+i, k-l) read forwards from falling[k-l].  `km_range_verify`
-  compares it with ±k! from a factorial table.  `km_scaled_sum`, `km_sum`
-  and `km_check` wrap the same core on one tuple, and build only the three
-  rows it reads: at most 2·(max(m, n)+1) `perm` calls.
+  signed binomial rows (-1)^i C(k, i).  A tuple's sum takes two steps:
+  `_km_row` forms the left vector u_i = (-1)^i C(k, i)·perm(m-i, l), read
+  backwards from falling[l], and `_km_sums` takes its dot product with the
+  window perm(n-k+i, k-l), a slice of falling[k-l] (`_km_windows`).
+  `km_range_verify` builds the windows once per (k, l) and u once per m,
+  and compares each dot product with ±k! from a factorial table.
+  `_km_scaled` runs the same two steps on one tuple; `km_scaled_sum`,
+  `km_sum` and `km_check` wrap it and build only the three rows it reads:
+  at most 2·(max(m, n)+1) `perm` calls.
 - Series route.  `_series_map` gives the integer parameters and the
   prefactor t₀, an unreduced pair of products of entries of a factorial
-  table (never `perm`, so the routes share no arithmetic).
-  `series_route_verify` sums the series with `_series_pair` and compares
-  the two pairs by cross-multiplication; `to_3f2` wraps `_series_map`
-  and `eval_3f2_terminating` wraps `_series_pair`.
+  table (never `perm`, so the routes share no arithmetic).  `_horner` is
+  the one series kernel: Horner's rule on one integer numerator/denominator
+  pair, over factor numerators that start at p and step by q, so that the
+  Pochhammer factor a+i of a = p/q is (p + i·q)/q.  `series_route_verify`
+  calls it with unit steps on each tuple's integer parameters and compares
+  with the prefactor by cross-multiplication; `_series_pair`, and through
+  it `eval_3f2_terminating`, calls it with the parameters' denominators as
+  steps and the term ratio's scales folded into the first upper and lower
+  numerators.  `_truncation_index` and `_check_lower` (the lower-parameter
+  guard) are written once, and both callers use them.
 
-`_series_pair` reads every parameter p/q (an int is p/1) once as an
-integer pair: the Pochhammer factor a+i is (p + i·q)/q, so each term ratio
-is one integer numerator over one integer denominator, and the series is
-summed by Horner's rule on one integer numerator/denominator pair.
+Each sweep reports the number of tuples it checked, and `km_tuple_count`
+and `series_tuple_count` give the numbers its bound promises by counting
+alone, never by walking tuples; `coverage_failures` compares the two.
 """
 
 from __future__ import annotations
@@ -164,17 +173,36 @@ def _km_tables(
     return falling, signed
 
 
+def _km_row(
+    falling: Mapping[int, list[int]], signed: Mapping[int, list[int]],
+    k: int, l: int, m: int,
+) -> list[int]:
+    """The direct route's first step, the part of the tuple's sum that does
+    not depend on n: u_i = (-1)^i C(k, i)·perm(m-i, l) for i = 0..k."""
+    return list(map(mul, signed[k], falling[l][m - k:m + 1][::-1]))
+
+
+def _km_windows(
+    falling: Mapping[int, list[int]], k: int, l: int, ns: Iterable[int]
+) -> list[list[int]]:
+    """For each n of `ns`, the window perm(n-k+i, k-l), i = 0..k: a slice of
+    falling[k-l], the same for every m."""
+    row = falling[k - l]
+    return [row[n - k:n + 1] for n in ns]
+
+
+def _km_sums(u: list[int], windows: list[list[int]]) -> list[int]:
+    """The second step: the dot product of u with each window."""
+    return [sum(map(mul, u, w)) for w in windows]
+
+
 def _km_scaled(
     falling: Mapping[int, list[int]], signed: Mapping[int, list[int]],
     k: int, l: int, m: int, n: int,
 ) -> int:
     """k! times the left-hand sum of the tuple (k, l, m, n), in integers:
     Σᵢ signed[k][i]·perm(m-i, l)·perm(n-k+i, k-l) over i = 0..k."""
-    return sum(map(
-        mul,
-        map(mul, signed[k], falling[l][m - k:m + 1][::-1]),
-        falling[k - l][n - k:n + 1],
-    ))
+    return _km_sums(_km_row(falling, signed, k, l, m), _km_windows(falling, k, l, (n,)))[0]
 
 
 def km_scaled_sum(p: KMParams) -> int:
@@ -207,21 +235,60 @@ def admissible_tuples(bound: int) -> Iterator[KMParams]:
         yield KMParams(k=k, l=l, m=m, n=n)
 
 
+def km_tuple_count(bound: int) -> int:
+    """The number of admissible tuples with m, n ≤ bound, by counting alone:
+    min(m, n) = j on 2(bound-j)+1 pairs (m, n), each with (j+1)(j+2)/2
+    tuples (k, l)."""
+    return sum((2 * (bound - j) + 1) * (j + 1) * (j + 2) // 2 for j in range(bound + 1))
+
+
+def series_tuple_count(bound: int) -> int:
+    """The number of those tuples with n+l-2k ≥ 0, by counting alone.  For
+    each k and each n ≥ k there are min(k, n-k)+1 values of l, and the
+    bound-k+1 values of m ≥ k give the same count; over n = k..bound the
+    first sum is a triangle up to d = n-k = min(k, bound-k) plus a band of
+    height k+1 beyond it."""
+    total = 0
+    for k in range(bound + 1):
+        d = bound - k
+        per_m = (d + 1) * (d + 2) // 2 if d <= k else (k + 1) * (k + 2) // 2 + (d - k) * (k + 1)
+        total += (bound - k + 1) * per_m
+    return total
+
+
+def coverage_failures(report: KMSweepReport, expected: int) -> list[str]:
+    """One failure naming both numbers if the sweep checked other than the
+    `expected` number of tuples, else none."""
+    if report.tuples == expected:
+        return []
+    return [f"checked {report.tuples} tuples, expected {expected}"]
+
+
 def km_range_verify(bound: int) -> KMSweepReport:
-    """Run km_check on every admissible tuple with m, n ≤ bound."""
+    """Run km_check on every admissible tuple with m, n ≤ bound.
+
+    The walk is (k, l) outermost, with the windows of every n ≥ k built
+    once.  For each m it builds the row u of `_km_row` once, and each n is
+    one dot product of `_km_sums`.  The failures come back in the order of
+    `admissible_tuples`.
+    """
     if bound < 0:
         raise ValueError(f"bound must be nonnegative (got {bound})")
     falling, signed = _km_tables(bound)
     facts = _factorials(bound)
     count = 0
     failures = []
-    for t in _tuples(bound):
-        count += 1
-        k, l, m, n = t
-        if _km_scaled(falling, signed, k, l, m, n) != (
-            -facts[k] if (k + l) & 1 else facts[k]
-        ):
-            failures.append(t)
+    for k in range(bound + 1):
+        ms = range(k, bound + 1)
+        for l in range(k + 1):
+            want = -facts[k] if (k + l) & 1 else facts[k]
+            windows = _km_windows(falling, k, l, ms)
+            for m in ms:
+                sums = _km_sums(_km_row(falling, signed, k, l, m), windows)
+                count += len(sums)
+                if sums.count(want) != len(sums):
+                    failures += [(k, l, m, n) for n, s in zip(ms, sums) if s != want]
+    failures.sort(key=lambda t: (t[2], t[3], t[0], t[1]))
     return KMSweepReport(bound=bound, tuples=count, failures=tuple(failures))
 
 
@@ -229,25 +296,38 @@ def series_route_verify(bound: int) -> KMSweepReport:
     """Check prefactor × ₃F₂ = (-1)^{k+l} on every mappable tuple, m, n ≤ bound.
 
     Tuples with n+l-2k < 0 fall outside the series restatement and are
-    skipped (they are covered by km_range_verify).
+    skipped (they are covered by km_range_verify).  The walk is (k, l, m)
+    outermost and n innermost from 2k-l, the first n with n+l-2k ≥ 0.  Over
+    one block of n only a₂ = n-k+1 and b₂ = n+l-2k+1 change, and both are
+    positive, so the truncation index and the lower-parameter guard of the
+    block's first tuple hold for every tuple of it: each is taken once per
+    block, by the same `_truncation_index` and `_check_lower` as
+    `_series_pair`.  Each tuple is then the parameters and prefactor of
+    `_series_map` and one call of the Horner kernel with unit steps.
     """
     if bound < 0:
         raise ValueError(f"bound must be nonnegative (got {bound})")
     facts = _factorials(bound)
     count = 0
     failures = []
-    for t in _tuples(bound):
-        k, l, m, n = t
-        if n + l - 2 * k < 0:
-            continue
-        count += 1
-        upper, lower, (pre_num, pre_den) = _series_map(facts, k, l, m, n)
-        num, den = _series_pair(upper, lower, 1)
-        # prefactor·num/den = (-1)^{k+l}, cross-multiplied
-        if (k + l) & 1:
-            den = -den
-        if pre_num * num != pre_den * den:
-            failures.append(t)
+    for k in range(bound + 1):
+        for l in range(k + 1):
+            odd = (k + l) & 1
+            first = 2 * k - l
+            ns = range(first, bound + 1)
+            for m in range(k, bound + 1):
+                t = _truncation_index((-k, first - k + 1, l - m))
+                _check_lower(t, -m, 1)
+                pre_num, pre_den = facts[m], facts[k] * facts[m - l]
+                # n-k runs from k-l and n+l-2k from 0 as n runs over ns
+                for n, f_nk, f_shift in zip(ns, facts[k - l:], facts):
+                    count += 1
+                    num, den = _horner(t, -k, n - k + 1, l - m, -m, n + l - 2 * k + 1,
+                                       1, 1, 1, 1, 1)
+                    # prefactor·num/den = (-1)^{k+l}, cross-multiplied
+                    if pre_num * f_nk * num != pre_den * f_shift * (-den if odd else den):
+                        failures.append((k, l, m, n))
+    failures.sort(key=lambda t: (t[2], t[3], t[0], t[1]))
     return KMSweepReport(bound=bound, tuples=count, failures=tuple(failures))
 
 
@@ -295,12 +375,6 @@ def _truncation_index(upper: Iterable[Rational]) -> Optional[int]:
     return t
 
 
-def _pochhammer_numerators(a: Rational, t: int) -> range:
-    """Numerators of the factors a, a+1, …, a+t-1 over a's denominator."""
-    p, q = a.numerator, a.denominator
-    return range(p, p + t * q, q)
-
-
 def eval_3f2_terminating(spec: HypergeomSpec) -> Fraction:
     """Σ_{i=0}^{T} (a₁)ᵢ(a₂)ᵢ(a₃)ᵢ / ((b₁)ᵢ(b₂)ᵢ i!) zⁱ with exact arithmetic.
 
@@ -312,6 +386,48 @@ def eval_3f2_terminating(spec: HypergeomSpec) -> Fraction:
     return Fraction(*_series_pair(spec.upper, spec.lower, spec.argument))
 
 
+def _check_lower(t: int, b1: Rational, b2: Rational) -> None:
+    """Raise IllDefinedSeriesError if a lower factor b+i, i < t, vanishes:
+    b is then an integer with 0 ≤ -b < t.  The earlier index is named, b₁
+    on a tie."""
+    hits = [(-b.numerator, j, b) for j, b in enumerate((b1, b2))
+            if b.denominator == 1 and 0 <= -b.numerator < t]
+    if hits:
+        i, _, b = min(hits)
+        raise IllDefinedSeriesError(
+            f"lower parameter {b} hits zero at index {i + 1} (truncation index {t})"
+        )
+
+
+def _horner(
+    t: int, x1: int, x2: int, x3: int, y1: int, y2: int,
+    s1: int, s2: int, s3: int, d1: int, d2: int,
+) -> tuple[int, int]:
+    """The Horner kernel: 1 + r₀(1 + r₁(… (1 + r_{t-1}))) as an unreduced
+    integer pair (num, den), where the term ratio r_i is
+    (x1 + i·s1)(x2 + i·s2)(x3 + i·s3) / ((y1 + i·d1)(y2 + i·d2)(i+1)).
+
+    Each numerator starts at its factor at index t and steps down by its
+    step to index 0; no lower numerator may vanish below index t.
+    """
+    x1 += t * s1
+    x2 += t * s2
+    x3 += t * s3
+    y1 += t * d1
+    y2 += t * d2
+    acc_num = acc_den = 1
+    while t:
+        x1 -= s1
+        x2 -= s2
+        x3 -= s3
+        y1 -= d1
+        y2 -= d2
+        acc_den *= y1 * y2 * t
+        acc_num = acc_den + x1 * x2 * x3 * acc_num
+        t -= 1
+    return acc_num, acc_den
+
+
 def _series_pair(
     upper: Sequence[Rational], lower: Sequence[Rational], z: Rational
 ) -> tuple[int, int]:
@@ -319,34 +435,22 @@ def _series_pair(
     `Fraction`s, as an unreduced integer pair (num, den), den != 0.
 
     The upper parameters must include a non-positive integer; T is the
-    truncation index.  Before any term is formed, the numerators of the
-    lower factors b₁+i and b₂+i, i < T, are searched for a zero, and the
-    earliest one raises IllDefinedSeriesError.  Horner's rule,
-    1 + r₀(1 + r₁(… (1 + r_{T-1}))), then runs over the factors from the
-    last term ratio r_{T-1} back to r₀ on one integer pair acc_num/acc_den.
+    truncation index.  Before any term is formed, `_check_lower` raises
+    IllDefinedSeriesError if b₁+i or b₂+i vanishes for some i < T.  The
+    factor a+i of a = p/q is (p + i·q)/q, so `_horner` runs on the integer
+    numerators p with steps q; the scales z_p·q_{b₁}q_{b₂} of the term
+    ratio's numerator and z_q·q_{a₁}q_{a₂}q_{a₃} of its denominator ride
+    on the first upper and the first lower numerator and step.
     """
     t = _truncation_index(upper)
     (a1, a2, a3), (b1, b2) = upper, lower
-    ys1, ys2 = _pochhammer_numerators(b1, t), _pochhammer_numerators(b2, t)
-    i1 = ys1.index(0) if 0 in ys1 else t
-    i2 = ys2.index(0) if 0 in ys2 else t
-    if min(i1, i2) < t:
-        i, b = (i1, b1) if i1 <= i2 else (i2, b2)
-        raise IllDefinedSeriesError(
-            f"lower parameter {b} hits zero at index {i + 1} "
-            f"(truncation index {t})"
-        )
+    _check_lower(t, b1, b2)
     num_scale = z.numerator * b1.denominator * b2.denominator
     den_scale = z.denominator * a1.denominator * a2.denominator * a3.denominator
-    acc_num = acc_den = 1
-    for j, x1, x2, x3, y1, y2 in zip(
-        range(t, 0, -1),
-        reversed(_pochhammer_numerators(a1, t)),
-        reversed(_pochhammer_numerators(a2, t)),
-        reversed(_pochhammer_numerators(a3, t)),
-        reversed(ys1),
-        reversed(ys2),
-    ):
-        acc_den *= den_scale * y1 * y2 * j
-        acc_num = acc_den + num_scale * x1 * x2 * x3 * acc_num
-    return acc_num, acc_den
+    return _horner(
+        t,
+        num_scale * a1.numerator, a2.numerator, a3.numerator,
+        den_scale * b1.numerator, b2.numerator,
+        num_scale * a1.denominator, a2.denominator, a3.denominator,
+        den_scale * b1.denominator, b2.denominator,
+    )

@@ -21,7 +21,13 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from .forms import canonical_form, is_star_form, tensor_of_canonical_forms
-from .hypergeom import km_range_verify, series_route_verify
+from .hypergeom import (
+    coverage_failures,
+    km_range_verify,
+    km_tuple_count,
+    series_route_verify,
+    series_tuple_count,
+)
 from .modules import (
     check_relations,
     decompose,
@@ -59,8 +65,13 @@ def _relation_failures(report) -> list[str]:
     return [] if report.ok else [f"{report.label}: {', '.join(report.failures)}"]
 
 
-def _relations_pair(m: int, n: int, q: Fraction, r: Fraction) -> list[str]:
-    return _relation_failures(check_relations(tensor_of_irreducibles(m, n)))
+# Each pair step returns (checks, failures): one check for a step stated
+# per pair, and for a per-k step the number of singular lines k it checked.
+_Checked = tuple[int, list[str]]
+
+
+def _relations_pair(m: int, n: int, q: Fraction, r: Fraction) -> _Checked:
+    return 1, _relation_failures(check_relations(tensor_of_irreducibles(m, n)))
 
 
 def _star_failures(report, constants: str) -> list[str]:
@@ -68,21 +79,22 @@ def _star_failures(report, constants: str) -> list[str]:
     return [f"{report.label} {constants}: " + ", ".join(problems)] if problems else []
 
 
-def _star_pair(m: int, n: int, q: Fraction, r: Fraction) -> list[str]:
+def _star_pair(m: int, n: int, q: Fraction, r: Fraction) -> _Checked:
     module = tensor_of_irreducibles(m, n)
     report = is_star_form(module, tensor_of_canonical_forms(m, n, q, r))
-    return _star_failures(report, f"q={q} r={r}")
+    return 1, _star_failures(report, f"q={q} r={r}")
 
 
-def _decompose_pair(m: int, n: int, q: Fraction, r: Fraction) -> list[str]:
+def _decompose_pair(m: int, n: int, q: Fraction, r: Fraction) -> _Checked:
     expected = tuple((j, 1) for j in range(abs(m - n), m + n + 1, 2))
     got = decompose(tensor_of_irreducibles(m, n)).summands
-    return [] if got == expected else [f"V_{m}⊗V_{n}: got {got}, expected {expected}"]
+    return 1, [] if got == expected else [f"V_{m}⊗V_{n}: got {got}, expected {expected}"]
 
 
-def _singular_pair(m: int, n: int, q: Fraction, r: Fraction) -> list[str]:
-    failures = []
+def _singular_pair(m: int, n: int, q: Fraction, r: Fraction) -> _Checked:
+    checked, failures = 0, []
     for k in range(min(m, n) + 1):
+        checked += 1
         try:
             b = b_closed_form(m, n, k)
             if not y_annihilates(b):
@@ -91,30 +103,33 @@ def _singular_pair(m: int, n: int, q: Fraction, r: Fraction) -> list[str]:
                 failures.append(f"(m={m},n={n},k={k}): null-space route disagrees")
         except (InconsistencyError, ValueError) as exc:
             failures.append(f"(m={m},n={n},k={k}): {exc}")
-    return failures
+    return checked, failures
 
 
-def _x_power_pair(m: int, n: int, q: Fraction, r: Fraction) -> list[str]:
-    failures = []
+def _x_power_pair(m: int, n: int, q: Fraction, r: Fraction) -> _Checked:
+    checked, failures = 0, []
     for k in range(min(m, n) + 1):
+        checked += 1
         try:
             if x_power_b_brute(m, n, k) != x_power_b_closed(m, n, k):
                 failures.append(f"(m={m},n={n},k={k}): X^s b routes disagree")
         except (InconsistencyError, ValueError) as exc:
             failures.append(f"(m={m},n={n},k={k}): {exc}")
-    return failures
+    return checked, failures
 
 
-def _omega_pair(m: int, n: int, q: Fraction, r: Fraction) -> list[str]:
+def _omega_pair(m: int, n: int, q: Fraction, r: Fraction) -> _Checked:
     report = check_sign_alternation(m, n, q, r)
+    rows = report.table.rows
     if report.ok:
-        return []
-    signs = tuple(row.sign for row in report.table.rows)
-    return [f"V_{m}⊗V_{n} q={q} r={r}: signs {signs}"]
+        return len(rows), []
+    signs = tuple(row.sign for row in rows)
+    return len(rows), [f"V_{m}⊗V_{n} q={q} r={r}: signs {signs}"]
 
 
-# The per-pair suites in stream order, each flagged if it makes one check
-# per singular line k = 0..min(m, n) rather than one per pair.  In one pair
+# The per-pair suites in stream order, each flagged if it checks each
+# singular line k = 0..min(m, n) rather than the pair once; `_sweep` compares
+# a flagged suite's counted checks with the number of lines.  In one pair
 # task the ω brute route reads the Q⊗R that star-forms built and each
 # X^{s_k}b that x-power built, or fills them first; `omega.x_power_b_brute`
 # says why its cache holds a whole pair.
@@ -133,8 +148,8 @@ _PAIR_STEPS = {
 _LOCAL_COST = {
     "relations": lambda side: side / 16,
     "star-forms": lambda side: side / 3,
-    "karlsson-minton": lambda side: side**2 / 130,
-    "3f2-route": lambda side: side**2 / 65,
+    "karlsson-minton": lambda side: side**2 / 300,
+    "3f2-route": lambda side: side**2 / 200,
 }
 # Every suite of `verify_all`, in report order.
 SUITES = ("relations", "star-forms", "decomposition", "singular-vectors", "x-power",
@@ -160,11 +175,14 @@ def _pair(pair, q, r, names) -> _Results:
         step, per_k = _PAIR_STEPS[name]
         t0 = time.perf_counter()
         try:
-            failures = step(m, n, q, r)
+            checks, failures = step(m, n, q, r)
         except (InconsistencyError, ValueError) as exc:
-            # a bad case is one failure; it must not abort the stream
+            # a bad case is one failure; it must not abort the stream, and
+            # the checks it stood for count as made, so that it is reported
+            # once and not again as a gap in the suite's coverage
+            checks = min(m, n) + 1 if per_k else 1
             failures = [f"V_{m}⊗V_{n}: {exc}"]
-        out.append((min(m, n) + 1 if per_k else 1, failures, time.perf_counter() - t0))
+        out.append((checks, failures, time.perf_counter() - t0))
     return out
 
 
@@ -187,9 +205,11 @@ def _local_checks(name, bound, q, r, corrupt) -> _Results:
                 failures += _star_failures(report, f"q={c}")
         checks = 2 * (bound + 1)
     else:
-        route = km_range_verify if name == "karlsson-minton" else series_route_verify
+        route, count = ((km_range_verify, km_tuple_count) if name == "karlsson-minton"
+                        else (series_route_verify, series_tuple_count))
         report = route(bound)
         checks, failures = report.tuples, [f"(k,l,m,n)={t}" for t in report.failures]
+        failures += coverage_failures(report, count(bound))
     return [(checks, failures, time.perf_counter() - t0)]
 
 
@@ -214,6 +234,13 @@ def _sweep(bound, names, q=1, r=1, jobs=1, corrupt=False) -> list[SuiteResult]:
     for task in tasks:
         for name, result in zip(task.suites, done[task]):
             totals[name][:] = [a + b for a, b in zip(totals[name], result)]
+    # a per-k suite checks min(m, n)+1 singular lines on each pair, and the
+    # min(m, n) = j on 2(bound-j)+1 pairs
+    lines = sum((2 * (bound - j) + 1) * (j + 1) for j in range(bound + 1))
+    for name in paired:
+        checks, failures, _ = totals[name]
+        if _PAIR_STEPS[name][1] and checks != lines:
+            failures.append(f"checked {checks} singular lines, expected {lines}")
     return [SuiteResult(name, c, tuple(f), s) for name, (c, f, s) in totals.items()]
 
 

@@ -374,6 +374,34 @@ class TestOversizedRationals:
         assert "argument --q: not a rational literal: " in capsys.readouterr().err
 
 
+    @staticmethod
+    def q_error(value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["omega-table", "1", "1", "--q", value])
+        assert exc.value.code == 2
+        return capsys.readouterr().err
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="Fraction() reads 1_0 from 3.11")
+    def test_long_underscored_literal_is_too_many_digits(self, capsys):
+        value = "1_" * 4400 + "1"   # 4,401 digits, past int()'s limit
+        err = self.q_error(value, capsys)
+        assert f"argument --q: too many digits: {value[:40]}..." in err
+        assert "characters)" in err and len(err) < 600
+
+    @pytest.mark.skipif(sys.version_info >= (3, 11), reason="Fraction() reads 1_0 from 3.11")
+    def test_underscored_literal_is_malformed_before_3_11(self, capsys):
+        assert "argument --q: not a rational literal: '1_0'" in self.q_error("1_0", capsys)
+
+    def test_spaces_around_the_slash_follow_fraction(self, capsys):
+        # Fraction() reads "1 / 2" from Python 3.12 only; before, the literal
+        # is malformed, not too long
+        if sys.version_info >= (3, 12):
+            assert cli._nonzero_rational("1 / 2") == Fraction(1, 2)
+        else:
+            err = self.q_error("1 / 2", capsys)
+            assert "argument --q: not a rational literal: '1 / 2'" in err
+
+
 class TestFullVerificationScript:
     """scripts/full_verification.py parses --max and --jobs with the CLI's
     argument types, and bounds --max as `verify-all` does."""

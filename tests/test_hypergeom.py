@@ -230,6 +230,15 @@ class TestSweep:
             )
             assert km_range_verify(bound).tuples == expected
 
+    def test_closed_form_counts(self):
+        for bound in range(9):
+            tuples = list(admissible_tuples(bound))
+            mapped = [p for p in tuples if p.n + p.l - 2 * p.k >= 0]
+            assert hypergeom.km_tuple_count(bound) == len(tuples)
+            assert hypergeom.series_tuple_count(bound) == len(mapped)
+            assert km_range_verify(bound).tuples == len(tuples)
+            assert series_route_verify(bound).tuples == len(mapped)
+
     def test_moderate_sweep_clean(self):
         report = km_range_verify(8)
         assert report.ok
@@ -404,15 +413,24 @@ class TestCorruptionOracles:
         assert series_route_verify(self.BOUND).ok
 
     def test_pochhammer_factor_fails_series_route_only(self, monkeypatch):
-        original = hypergeom._pochhammer_numerators
+        def corrupted(t, *numerators_and_steps):
+            # the kernel's series, summed here from its factor lists, with
+            # the factor at index T-1 of each parameter x/s = -3 doubled
+            starts, steps = numerators_and_steps[:5], numerators_and_steps[5:]
+            factors = []
+            for x, s in zip(starts, steps):
+                row = [x + i * s for i in range(t)]
+                if row and s and x == self.BAD_PARAM * s:
+                    row[-1] *= 2
+                factors.append(row)
+            xs1, xs2, xs3, ys1, ys2 = factors
+            num = den = 1
+            for j in range(t, 0, -1):
+                den *= ys1[j - 1] * ys2[j - 1] * j
+                num = den + xs1[j - 1] * xs2[j - 1] * xs3[j - 1] * num
+            return num, den
 
-        def corrupted(a, t):
-            factors = list(original(a, t))
-            if a == self.BAD_PARAM and factors:
-                factors[-1] *= 2
-            return factors
-
-        monkeypatch.setattr(hypergeom, "_pochhammer_numerators", corrupted)
+        monkeypatch.setattr(hypergeom, "_horner", corrupted)
         # Terms t_0..t_T of these series are all nonzero, so doubling the
         # factor at index T-1 changes the last term and hence the sum,
         # unless -3 sits in as many upper as lower slots and the change
@@ -428,6 +446,25 @@ class TestCorruptionOracles:
         assert expected
         assert set(series_route_verify(self.BOUND).failures) == expected
         assert km_range_verify(self.BOUND).ok
+
+    def test_failures_come_in_admissible_order(self, monkeypatch):
+        # both routes walk k-major; a corruption that hits tuples of several
+        # (k, l) blocks must still be reported in the (m, n, k, l) order of
+        # admissible_tuples
+        order = [(p.k, p.l, p.m, p.n) for p in admissible_tuples(self.BOUND)]
+        monkeypatch.setattr(
+            hypergeom, "perm", lambda x, y: math.perm(x, y) + ((x, y) == self.BAD_PERM)
+        )
+        direct = km_range_verify(self.BOUND).failures
+        monkeypatch.undo()
+        monkeypatch.setattr(
+            hypergeom, "_factorials",
+            lambda top: [math.factorial(j) + (j == 5) for j in range(top + 1)],
+        )
+        series = series_route_verify(self.BOUND).failures
+        for failures in (direct, series):
+            assert len({(k, l) for k, l, _, _ in failures}) > 1
+            assert list(failures) == [t for t in order if t in set(failures)]
 
 
 class TestIntegerCores:
@@ -472,6 +509,33 @@ class TestIntegerCores:
             wrapper(p)
             assert 0 < len(calls) <= 2 * (max(m, n) + 1), wrapper.__name__
         assert km_scaled_sum(p) == (-1) ** (k + l) * math.factorial(k)
+
+    def test_series_sweep_kernel_calls_match_series_map(self, monkeypatch):
+        # The sweep takes the truncation index and the lower-parameter guard
+        # once per block of n.  On every mapped tuple its kernel call must
+        # still be the one `_series_pair` makes for the parameters of
+        # `_series_map`: T = `_truncation_index` of the tuple's own upper
+        # parameters, every step 1, and a guard that passes on its lower ones.
+        from collections import Counter
+
+        calls = Counter()
+
+        def recording(*args):
+            calls[args] += 1
+            return kernel(*args)
+
+        kernel = hypergeom._horner
+        monkeypatch.setattr(hypergeom, "_horner", recording)
+        assert series_route_verify(self.BOUND).ok
+        facts = hypergeom._factorials(self.BOUND)
+        expected = Counter()
+        for p in admissible_tuples(self.BOUND):
+            if p.n + p.l - 2 * p.k >= 0:
+                upper, lower, _ = hypergeom._series_map(facts, *p)
+                t = hypergeom._truncation_index(upper)
+                hypergeom._check_lower(t, *lower)
+                expected[(t, *upper, *lower, 1, 1, 1, 1, 1)] += 1
+        assert calls == expected
 
     def test_series_cores_and_sweep_match_to_3f2_and_eval(self):
         facts = hypergeom._factorials(self.BOUND)

@@ -313,6 +313,56 @@ class TestPlan:
             assert result and all(checks > 0 for checks, _, _ in result)
 
 
+class TestCoverage:
+    """A suite whose counted checks differ from the closed-form count of
+    what its bound promises fails, with one failure naming both numbers."""
+
+    BOUND = 3
+
+    @pytest.mark.parametrize("suite, count, label", [
+        ("karlsson-minton", "km_tuple_count", "identity sweep"),
+        ("3f2-route", "series_tuple_count", "series cross-route"),
+    ])
+    def test_km_count_one_short_fails_that_suite(self, monkeypatch, capsys,
+                                                 suite, count, label):
+        exact = getattr(hypergeom, count)(self.BOUND)
+        clean = f'{{"tuples":{hypergeom.km_tuple_count(self.BOUND)},"failures":[]}}\n'
+        one_more = lambda bound: exact + 1
+        monkeypatch.setattr(verify, count, one_more)
+        suites = verify_all(self.BOUND)
+        assert [s.name for s in suites if not s.ok] == [suite]
+        [failure] = {s.name: s for s in suites}[suite].failures
+        assert failure == f"checked {exact} tuples, expected {exact + 1}"
+
+        monkeypatch.setattr(hypergeom, count, one_more)
+        args = ["verify-km", "--max", str(self.BOUND), "--format", "json"]
+        assert cli.main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == clean   # stdout as on a clean run
+        gaps = [line for line in err.splitlines() if not line.startswith("[time]")]
+        assert gaps == [f"{label}: checked {exact} tuples, expected {exact + 1}"]
+
+    @pytest.mark.parametrize("suite", ["singular-vectors", "x-power", "omega-signs"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_per_k_step_one_line_short_fails_its_suite(self, monkeypatch, suite, jobs):
+        # a step that skips the last singular line of V_2⊗V_3 counts one
+        # check fewer there, since each step counts the lines it ran
+        step, per_k = verify._PAIR_STEPS[suite]
+
+        def one_short(m, n, q, r):
+            checks, failures = step(m, n, q, r)
+            return checks - ((m, n) == (2, 3)), failures
+
+        monkeypatch.setitem(verify._PAIR_STEPS, suite, (one_short, per_k))
+        suites = {s.name: s for s in verify_all(self.BOUND, jobs=jobs)}
+        lines = sum(min(m, n) + 1 for m in range(4) for n in range(4))
+        assert [name for name, s in suites.items() if not s.ok] == [suite]
+        assert suites[suite].checks == lines - 1
+        assert suites[suite].failures == (
+            f"checked {lines - 1} singular lines, expected {lines}",
+        )
+
+
 class TestDeterminismAndParallelism:
     def test_worker_count_does_not_change_results(self):
         q, r = Fraction(1, 2), Fraction(-3)
