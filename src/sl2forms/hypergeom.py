@@ -243,15 +243,17 @@ def km_tuple_count(bound: int) -> int:
 
 
 def series_tuple_count(bound: int) -> int:
-    """The number of those tuples with n+l-2k ≥ 0, by counting alone.  For
-    each k and each n ≥ k there are min(k, n-k)+1 values of l, and the
-    bound-k+1 values of m ≥ k give the same count; over n = k..bound the
-    first sum is a triangle up to d = n-k = min(k, bound-k) plus a band of
-    height k+1 beyond it."""
+    """The number of those tuples with n+l-2k ≥ 0, by counting alone.  Given
+    k and n = k+d, l runs from max(0, k-d) to k: min(k, d)+1 values.  Over
+    d = 0..bound-k that is d+1 up to d = k and k+1 after it, the same for
+    each of the bound-k+1 values of m ≥ k."""
     total = 0
     for k in range(bound + 1):
-        d = bound - k
-        per_m = (d + 1) * (d + 2) // 2 if d <= k else (k + 1) * (k + 2) // 2 + (d - k) * (k + 1)
+        top = bound - k
+        if top <= k:
+            per_m = (top + 1) * (top + 2) // 2
+        else:
+            per_m = (k + 1) * (k + 2) // 2 + (top - k) * (k + 1)
         total += (bound - k + 1) * per_m
     return total
 
@@ -279,15 +281,15 @@ def km_range_verify(bound: int) -> KMSweepReport:
     count = 0
     failures = []
     for k in range(bound + 1):
-        ms = range(k, bound + 1)
+        span = range(k, bound + 1)  # both m and n run over it
         for l in range(k + 1):
             want = -facts[k] if (k + l) & 1 else facts[k]
-            windows = _km_windows(falling, k, l, ms)
-            for m in ms:
+            windows = _km_windows(falling, k, l, span)
+            for m in span:
                 sums = _km_sums(_km_row(falling, signed, k, l, m), windows)
-                count += len(sums)
                 if sums.count(want) != len(sums):
-                    failures += [(k, l, m, n) for n, s in zip(ms, sums) if s != want]
+                    failures += [(k, l, m, n) for n, s in zip(span, sums) if s != want]
+                count += len(sums)
     failures.sort(key=lambda t: (t[2], t[3], t[0], t[1]))
     return KMSweepReport(bound=bound, tuples=count, failures=tuple(failures))
 
@@ -321,12 +323,12 @@ def series_route_verify(bound: int) -> KMSweepReport:
                 pre_num, pre_den = facts[m], facts[k] * facts[m - l]
                 # n-k runs from k-l and n+l-2k from 0 as n runs over ns
                 for n, f_nk, f_shift in zip(ns, facts[k - l:], facts):
-                    count += 1
                     num, den = _horner(t, -k, n - k + 1, l - m, -m, n + l - 2 * k + 1,
                                        1, 1, 1, 1, 1)
                     # prefactor·num/den = (-1)^{k+l}, cross-multiplied
                     if pre_num * f_nk * num != pre_den * f_shift * (-den if odd else den):
                         failures.append((k, l, m, n))
+                    count += 1
     failures.sort(key=lambda t: (t[2], t[3], t[0], t[1]))
     return KMSweepReport(bound=bound, tuples=count, failures=tuple(failures))
 

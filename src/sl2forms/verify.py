@@ -94,7 +94,6 @@ def _decompose_pair(m: int, n: int, q: Fraction, r: Fraction) -> _Checked:
 def _singular_pair(m: int, n: int, q: Fraction, r: Fraction) -> _Checked:
     checked, failures = 0, []
     for k in range(min(m, n) + 1):
-        checked += 1
         try:
             b = b_closed_form(m, n, k)
             if not y_annihilates(b):
@@ -103,18 +102,19 @@ def _singular_pair(m: int, n: int, q: Fraction, r: Fraction) -> _Checked:
                 failures.append(f"(m={m},n={n},k={k}): null-space route disagrees")
         except (InconsistencyError, ValueError) as exc:
             failures.append(f"(m={m},n={n},k={k}): {exc}")
+        checked += 1
     return checked, failures
 
 
 def _x_power_pair(m: int, n: int, q: Fraction, r: Fraction) -> _Checked:
     checked, failures = 0, []
     for k in range(min(m, n) + 1):
-        checked += 1
         try:
             if x_power_b_brute(m, n, k) != x_power_b_closed(m, n, k):
                 failures.append(f"(m={m},n={n},k={k}): X^s b routes disagree")
         except (InconsistencyError, ValueError) as exc:
             failures.append(f"(m={m},n={n},k={k}): {exc}")
+        checked += 1
     return checked, failures
 
 
@@ -123,8 +123,7 @@ def _omega_pair(m: int, n: int, q: Fraction, r: Fraction) -> _Checked:
     rows = report.table.rows
     if report.ok:
         return len(rows), []
-    signs = tuple(row.sign for row in rows)
-    return len(rows), [f"V_{m}⊗V_{n} q={q} r={r}: signs {signs}"]
+    return len(rows), [f"V_{m}⊗V_{n} q={q} r={r}: signs {tuple(row.sign for row in rows)}"]
 
 
 # The per-pair suites in stream order, each flagged if it checks each
