@@ -326,10 +326,10 @@ def cmd_verify_km(args: argparse.Namespace) -> int:
     failures = [list(t) for t in direct.failures + series.failures]
     # a sweep that checked other than its closed-form count of tuples fails
     # the run; stdout keeps its schema, and the gap goes to stderr
-    gaps = [f"{label}: {gap}" for label, report, count in (
-        ("identity sweep", direct, km_tuple_count),
-        ("series cross-route", series, series_tuple_count),
-    ) for gap in coverage_failures(report, count(args.max))]
+    gaps = []
+    for label, report, count in (("identity sweep", direct, km_tuple_count),
+                                 ("series cross-route", series, series_tuple_count)):
+        gaps += [f"{label}: {gap}" for gap in coverage_failures(report, count(args.max))]
     for gap in gaps:
         print(gap, file=sys.stderr)
     if args.format == "json":

@@ -373,7 +373,6 @@ class TestOversizedRationals:
         assert exc.value.code == 2
         assert "argument --q: not a rational literal: " in capsys.readouterr().err
 
-
     @staticmethod
     def q_error(value, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -510,32 +510,27 @@ class TestIntegerCores:
             assert 0 < len(calls) <= 2 * (max(m, n) + 1), wrapper.__name__
         assert km_scaled_sum(p) == (-1) ** (k + l) * math.factorial(k)
 
-    def test_series_sweep_kernel_calls_match_series_map(self, monkeypatch):
+    def test_series_sweep_kernel_calls_match_series_pair(self, monkeypatch):
         # The sweep takes the truncation index and the lower-parameter guard
         # once per block of n.  On every mapped tuple its kernel call must
-        # still be the one `_series_pair` makes for the parameters of
-        # `_series_map`: T = `_truncation_index` of the tuple's own upper
-        # parameters, every step 1, and a guard that passes on its lower ones.
+        # still be the one `_series_pair` makes, through `_truncation_index`
+        # and `_check_lower`, for the parameters of `_series_map`.
         from collections import Counter
 
-        calls = Counter()
-
-        def recording(*args):
-            calls[args] += 1
-            return kernel(*args)
-
+        calls = []
         kernel = hypergeom._horner
-        monkeypatch.setattr(hypergeom, "_horner", recording)
+        monkeypatch.setattr(hypergeom, "_horner",
+                            lambda *args: calls.append(args) or kernel(*args))
         assert series_route_verify(self.BOUND).ok
+        swept = Counter(calls)
+        calls.clear()
         facts = hypergeom._factorials(self.BOUND)
-        expected = Counter()
         for p in admissible_tuples(self.BOUND):
             if p.n + p.l - 2 * p.k >= 0:
                 upper, lower, _ = hypergeom._series_map(facts, *p)
-                t = hypergeom._truncation_index(upper)
-                hypergeom._check_lower(t, *lower)
-                expected[(t, *upper, *lower, 1, 1, 1, 1, 1)] += 1
-        assert calls == expected
+                hypergeom._series_pair(upper, lower, 1)
+        assert len(calls) == hypergeom.series_tuple_count(self.BOUND)
+        assert swept == Counter(calls)
 
     def test_series_cores_and_sweep_match_to_3f2_and_eval(self):
         facts = hypergeom._factorials(self.BOUND)

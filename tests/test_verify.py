@@ -345,8 +345,8 @@ class TestCoverage:
     @pytest.mark.parametrize("suite", ["singular-vectors", "x-power", "omega-signs"])
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_per_k_step_one_line_short_fails_its_suite(self, monkeypatch, suite, jobs):
-        # a step that skips the last singular line of V_2⊗V_3 counts one
-        # check fewer there, since each step counts the lines it ran
+        # each step counts the singular lines it ran, so one that skipped a
+        # line of V_2⊗V_3 reports one check fewer there, as this one does
         step, per_k = verify._PAIR_STEPS[suite]
 
         def one_short(m, n, q, r):
