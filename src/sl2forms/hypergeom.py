@@ -318,6 +318,7 @@ def series_route_verify(bound: int) -> KMSweepReport:
             first = 2 * k - l
             ns = range(first, bound + 1)
             for m in range(k, bound + 1):
+                # the parameters of the block's first tuple, n = 2k-l
                 t = _truncation_index((-k, first - k + 1, l - m))
                 _check_lower(t, -m, 1)
                 pre_num, pre_den = facts[m], facts[k] * facts[m - l]
