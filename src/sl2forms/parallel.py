@@ -8,8 +8,10 @@ With W = min(jobs, cpu count, tasks) > 1 workers, `parallel_map` is a
 fork-join: the items are dealt to W shares in snake order (0, 1, ..., W-1,
 W-1, ..., 0, 0, 1, ...), W - 1 forked children compute one share each and
 send their results back pickled through a pipe, and the calling process
-computes share 0 meanwhile.  A caller that lists its items heaviest first
-thus gives every share about the same work.  With one worker, where
+computes share 0 meanwhile.  Neighbouring items thus go to different
+shares, so items listed in an order where neighbours cost about the same
+(such as the (m, n) pairs of a sweep in grid order) give every share about
+the same work.  With one worker, where
 `os.fork` does not exist, or in a process that runs threads (a fork copies
 only the calling thread), the map runs in this process.
 

@@ -3,15 +3,15 @@ parameter grid and reported uniformly.
 
 Each suite returns a `SuiteResult` with an exact check count and the list
 of failing cases (expected empty).  `_sweep` runs the named suites as one
-plan of tasks, each naming the suites it reports to, its estimated cost and
-its call.  A suite's checks not stated per (m, n) pair (on each V_m, or a
+plan of tasks, each naming the suites it reports to and its call.  A
+suite's checks not stated per (m, n) pair (on each V_m, or a
 Karlsson-Minton route's own sweep) are one task, and each pair is one task
 that builds V_m⊗V_n once and runs the per-pair suites in order, so memory
-does not grow with the number of pairs.  Tasks are mapped heaviest first,
-so that worker processes finish together, and their results are put back
-in suite and grid order: the result is independent of the worker count.  A
-case that raises is one failure.
-"""
+does not grow with the number of pairs.  The plan lists those tasks in
+suite order and then the pairs in grid order, and the results are folded
+in that order: the result is independent of the worker count.  Each
+suite's counted checks are compared with a closed form of what the bound
+promises.  A case that raises is one failure."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from typing import Callable, NamedTuple
 
 from .forms import canonical_form, is_star_form, tensor_of_canonical_forms
 from .hypergeom import (
-    coverage_failures,
     km_range_verify,
     km_tuple_count,
     series_route_verify,
@@ -127,8 +126,7 @@ def _omega_pair(m: int, n: int, q: Fraction, r: Fraction) -> _Checked:
 
 
 # The per-pair suites in stream order, each flagged if it checks each
-# singular line k = 0..min(m, n) rather than the pair once; `_sweep` compares
-# a flagged suite's counted checks with the number of lines.  In one pair
+# singular line k = 0..min(m, n) rather than the pair once.  In one pair
 # task the ω brute route reads the Q⊗R that star-forms built and each
 # X^{s_k}b that x-power built, or fills them first; `omega.x_power_b_brute`
 # says why its cache holds a whole pair.
@@ -140,16 +138,8 @@ _PAIR_STEPS = {
     "x-power": (_x_power_pair, True),
     "omega-signs": (_omega_pair, True),
 }
-# Each suite with checks not stated per pair, and its task's cost given
-# side = (bound+1)^2, in units of one basis vector of a pair (which costs
-# (m+1)(n+1)).  The Karlsson-Minton sweeps walk about bound^4 tuples and the
-# V_m checks about bound^2 vectors; the scales were fitted at bounds 8 to 20.
-_LOCAL_COST = {
-    "relations": lambda side: side / 16,
-    "star-forms": lambda side: side / 3,
-    "karlsson-minton": lambda side: side**2 / 300,
-    "3f2-route": lambda side: side**2 / 200,
-}
+# The suites with checks not stated per pair, each one task of its own.
+_LOCAL_SUITES = ("relations", "star-forms", "karlsson-minton", "3f2-route")
 # Every suite of `verify_all`, in report order.
 SUITES = ("relations", "star-forms", "decomposition", "singular-vectors", "x-power",
           "karlsson-minton", "3f2-route", "omega-signs")
@@ -159,10 +149,9 @@ _Results = list[tuple[int, list[str], float]]
 
 
 class _Task(NamedTuple):
-    """A task of the plan: the suites it reports to, its cost and its call."""
+    """A task of the plan: the suites it reports to and its call."""
 
     suites: tuple[str, ...]
-    cost: float
     run: Callable[[], _Results]
 
 
@@ -189,27 +178,43 @@ def _local_checks(name, bound, q, r, corrupt) -> _Results:
     """(checks, failures, seconds) of a suite's checks not stated per pair:
     on each V_m, or a Karlsson-Minton route's own sweep."""
     t0 = time.perf_counter()
-    failures = []
+    checks, failures = 0, []
     if name == "relations":
         modules = [irreducible(m) for m in range(bound + 1)]
         if corrupt:
             modules.append(perturbed(irreducible(bound), "X", 0, 0, 1))
         for module in modules:
             failures += _relation_failures(check_relations(module))
-        checks = len(modules)
+            checks += 1
     elif name == "star-forms":
         for m in range(bound + 1):
             for c in (q, r):
                 report = is_star_form(irreducible(m), canonical_form(m, c))
                 failures += _star_failures(report, f"q={c}")
-        checks = 2 * (bound + 1)
+                checks += 1
     else:
-        route, count = ((km_range_verify, km_tuple_count) if name == "karlsson-minton"
-                        else (series_route_verify, series_tuple_count))
+        route = km_range_verify if name == "karlsson-minton" else series_route_verify
         report = route(bound)
         checks, failures = report.tuples, [f"(k,l,m,n)={t}" for t in report.failures]
-        failures += coverage_failures(report, count(bound))
     return [(checks, failures, time.perf_counter() - t0)]
+
+
+def _coverage(bound, corrupt) -> dict[str, tuple[int, str]]:
+    """Each suite's closed-form check count at `bound`, and what it counts."""
+    side = (bound + 1) ** 2
+    # a per-k suite checks min(m, n)+1 singular lines on each pair, and the
+    # min(m, n) = j on 2(bound-j)+1 pairs
+    lines = sum((2 * (bound - j) + 1) * (j + 1) for j in range(bound + 1))
+    return {
+        "relations": (bound + 1 + side + int(corrupt), "modules"),
+        "star-forms": (2 * (bound + 1) + side, "forms"),
+        "decomposition": (side, "modules"),
+        "singular-vectors": (lines, "singular lines"),
+        "x-power": (lines, "singular lines"),
+        "omega-signs": (lines, "singular lines"),
+        "karlsson-minton": (km_tuple_count(bound), "tuples"),
+        "3f2-route": (series_tuple_count(bound), "tuples"),
+    }
 
 
 def _sweep(bound, names, q=1, r=1, jobs=1, corrupt=False) -> list[SuiteResult]:
@@ -219,27 +224,21 @@ def _sweep(bound, names, q=1, r=1, jobs=1, corrupt=False) -> list[SuiteResult]:
     if bound < 0:
         raise ValueError(f"bound must be nonnegative (got {bound})")
     q, r = Fraction(q), Fraction(r)
-    side = (bound + 1) ** 2
-    tasks = [_Task((name,), _LOCAL_COST[name](side),
-                   partial(_local_checks, name, bound, q, r, corrupt))
-             for name in names if name in _LOCAL_COST]
+    tasks = [_Task((name,), partial(_local_checks, name, bound, q, r, corrupt))
+             for name in names if name in _LOCAL_SUITES]
     paired = tuple(name for name in names if name in _PAIR_STEPS)
     if paired:
-        tasks += [_Task(paired, (m + 1) * (n + 1), partial(_pair, (m, n), q, r, paired))
+        tasks += [_Task(paired, partial(_pair, (m, n), q, r, paired))
                   for m in range(bound + 1) for n in range(bound + 1)]
-    plan = sorted(tasks, key=lambda task: -task.cost)
-    done = dict(zip(plan, parallel_map(lambda task: task.run(), plan, jobs)))
     totals = {name: [0, [], 0.0] for name in names}
-    for task in tasks:
-        for name, result in zip(task.suites, done[task]):
+    for task, results in zip(tasks, parallel_map(lambda task: task.run(), tasks, jobs)):
+        for name, result in zip(task.suites, results):
             totals[name][:] = [a + b for a, b in zip(totals[name], result)]
-    # a per-k suite checks min(m, n)+1 singular lines on each pair, and the
-    # min(m, n) = j on 2(bound-j)+1 pairs
-    lines = sum((2 * (bound - j) + 1) * (j + 1) for j in range(bound + 1))
-    for name in paired:
-        checks, failures, _ = totals[name]
-        if _PAIR_STEPS[name][1] and checks != lines:
-            failures.append(f"checked {checks} singular lines, expected {lines}")
+    expected = _coverage(bound, corrupt)
+    for name, (checks, failures, _) in totals.items():
+        count, unit = expected[name]
+        if checks != count:
+            failures.append(f"checked {checks} {unit}, expected {count}")
     return [SuiteResult(name, c, tuple(f), s) for name, (c, f, s) in totals.items()]
 
 

@@ -318,6 +318,14 @@ class TestShapes:
         assert a.transpose.rows == 3 and a.transpose.cols == 0
         assert a.transpose.transpose == a
 
+    def test_from_rows_of_no_rows_and_of_one_empty_row(self):
+        empty = ExactMatrix.from_rows([])
+        assert (empty.rows, empty.cols) == (0, 0)
+        assert empty == zeros(0, 0)
+        one_empty = ExactMatrix.from_rows([[]])
+        assert (one_empty.rows, one_empty.cols) == (1, 0)
+        assert one_empty == zeros(1, 0)
+
 
 class TestArithmetic:
     def test_matmul_small(self):

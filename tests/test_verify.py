@@ -1,6 +1,7 @@
 """Verification suites: clean runs, the corruption hook, one bad case per
 suite, the per-pair stream, and determinism under different worker counts."""
 
+import inspect
 import math
 import os
 import signal
@@ -286,6 +287,20 @@ class TestPlan:
     one per pair when a named suite is stated per pair, and no task that
     makes no check."""
 
+    @staticmethod
+    def record_maps(monkeypatch):
+        """(items, results) of each `parallel_map` call that `verify` makes."""
+        mapped = []
+
+        def recording_map(fn, items, jobs=1):
+            items = list(items)
+            results = parallel.parallel_map(fn, items, jobs)
+            mapped.append((items, results))
+            return results
+
+        monkeypatch.setattr(verify, "parallel_map", recording_map)
+        return mapped
+
     @pytest.mark.parametrize("bound", [0, 3])
     @pytest.mark.parametrize("entry, local, paired", [
         (verify_all, 4, True),
@@ -297,20 +312,29 @@ class TestPlan:
         (sweep_series_route, 1, False),
     ], ids=lambda value: getattr(value, "__name__", None))
     def test_mapped_tasks(self, monkeypatch, entry, local, paired, bound):
-        mapped = []
-
-        def recording_map(fn, items, jobs=1):
-            items = list(items)
-            results = parallel.parallel_map(fn, items, jobs)
-            mapped.append((items, results))
-            return results
-
-        monkeypatch.setattr(verify, "parallel_map", recording_map)
+        mapped = self.record_maps(monkeypatch)
         entry(bound)
         [(items, results)] = mapped
         assert len(items) == local + (bound + 1) ** 2 * paired
         for result in results:
             assert result and all(checks > 0 for checks, _, _ in result)
+
+    @pytest.mark.parametrize("entry, local, paired", [
+        (verify_all, ("relations", "star-forms", "karlsson-minton", "3f2-route"),
+         ("relations", "star-forms", "decomposition", "singular-vectors", "x-power",
+          "omega-signs")),
+        (verify_star, ("relations", "star-forms"), ("relations", "star-forms")),
+    ], ids=["verify_all", "verify_star"])
+    def test_local_tasks_in_suite_order_then_pairs_in_grid_order(
+        self, monkeypatch, entry, local, paired
+    ):
+        mapped = self.record_maps(monkeypatch)
+        entry(2)
+        [(items, _)] = mapped
+        assert [(task.suites, task.run.func, task.run.args[0]) for task in items] == (
+            [((name,), verify._local_checks, name) for name in local]
+            + [(paired, verify._pair, (m, n)) for m in range(3) for n in range(3)]
+        )
 
 
 class TestCoverage:
@@ -342,11 +366,22 @@ class TestCoverage:
         gaps = [line for line in err.splitlines() if not line.startswith("[time]")]
         assert gaps == [f"{label}: checked {exact} tuples, expected {exact + 1}"]
 
-    @pytest.mark.parametrize("suite", ["singular-vectors", "x-power", "omega-signs"])
+    @staticmethod
+    def assert_only_short_suite(suites, suite, counted, expected, unit):
+        suites = {s.name: s for s in suites}
+        assert [name for name, s in suites.items() if not s.ok] == [suite]
+        assert suites[suite].checks == counted
+        assert suites[suite].failures == (f"checked {counted} {unit}, expected {expected}",)
+
+    @pytest.mark.parametrize("suite", [
+        "singular-vectors", "x-power", "omega-signs", "relations", "star-forms",
+        "decomposition",
+    ])
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_per_k_step_one_line_short_fails_its_suite(self, monkeypatch, suite, jobs):
-        # each step counts the singular lines it ran, so one that skipped a
-        # line of V_2⊗V_3 reports one check fewer there, as this one does
+        # each step counts what it checked: the singular lines it ran, or
+        # the pair once, so one that skipped a check of V_2⊗V_3 reports one
+        # check fewer there, as this one does
         step, per_k = verify._PAIR_STEPS[suite]
 
         def one_short(m, n, q, r):
@@ -354,13 +389,34 @@ class TestCoverage:
             return checks - ((m, n) == (2, 3)), failures
 
         monkeypatch.setitem(verify._PAIR_STEPS, suite, (one_short, per_k))
-        suites = {s.name: s for s in verify_all(self.BOUND, jobs=jobs)}
         lines = sum(min(m, n) + 1 for m in range(4) for n in range(4))
-        assert [name for name, s in suites.items() if not s.ok] == [suite]
-        assert suites[suite].checks == lines - 1
-        assert suites[suite].failures == (
-            f"checked {lines - 1} singular lines, expected {lines}",
-        )
+        expected, unit = {
+            "relations": (4 + 16, "modules"),       # V_m + pairs
+            "star-forms": (8 + 16, "forms"),        # canonical q,r + tensor pairs
+            "decomposition": (16, "modules"),
+        }.get(suite, (lines, "singular lines"))
+        suites = verify_all(self.BOUND, jobs=jobs)
+        self.assert_only_short_suite(suites, suite, expected - 1, expected, unit)
+
+    @pytest.mark.parametrize("suite, loop, cut, counted, expected, unit", [
+        ("relations", "for module in modules:", "for module in modules[1:]:",
+         3 + 16, 4 + 16, "modules"),
+        ("star-forms", "for m in range(bound + 1):", "for m in range(bound):",
+         6 + 16, 8 + 16, "forms"),
+    ], ids=["relations", "star-forms"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cut_module_loop_fails_its_suite(
+        self, monkeypatch, suite, loop, cut, counted, expected, unit, jobs
+    ):
+        # the checks on each V_m are counted in the loop that makes them, so
+        # a loop that stops one module short reports fewer
+        source = inspect.getsource(verify._local_checks)
+        assert source.count(loop) == 1
+        namespace = dict(vars(verify))
+        exec(source.replace(loop, cut), namespace)
+        monkeypatch.setattr(verify, "_local_checks", namespace["_local_checks"])
+        suites = verify_all(self.BOUND, jobs=jobs)
+        self.assert_only_short_suite(suites, suite, counted, expected, unit)
 
 
 class TestDeterminismAndParallelism:
