@@ -227,51 +227,40 @@ def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
 
 def kron_sum(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """a⊗I + I⊗b for square a and b, built row by row without either
-    Kronecker product.
+    """a⊗I + I⊗b for square a and b.
 
-    Row (i, j) is a's row i at columns k·dim_b + j plus b's row j at
-    columns i·dim_b + l, which meet only at the diagonal entry i·dim_b + j.
-    It is emitted in column order with no sort: a's entries with k < i,
-    then block i (b's row j with a's diagonal entry merged in at l = j,
-    dropped if the sum is zero), then a's entries with k > i.
+    When no row of a or b holds more than one entry, as in the X, Y and H
+    of every V_m, row (i, j) is built directly from two entries: b's entry
+    (l, y) of row j moved into block i, at column i·dim_b + l, and a's entry
+    (k, x) of row i moved to column k·dim_b + j.  The two meet only at
+    column i·dim_b + j, where their sum is kept if it is nonzero.  Every
+    other pair is the definition, kron(a, I) + kron(I, b).
     """
     if a.rows != a.cols or b.rows != b.cols:
         raise ValueError(
             f"kron_sum of {a.rows}x{a.cols} and {b.rows}x{b.cols}: both must be square"
         )
     d = b.rows
-    b_nz = b.nonzero_rows
-    split = None
+    if any(len(row) > 1 for row in a.nonzero_rows + b.nonzero_rows):
+        return kron(a, identity(d)) + kron(identity(a.rows), b)
+    b_entries = [brow[0] if brow else None for brow in b.nonzero_rows]
     out = []
     for i, arow in enumerate(a.nonzero_rows):
         base = i * d
-        below = [(k * d, x) for k, x in arow if k < i]
-        above = [(k * d, x) for k, x in arow if k > i]
-        diag = next((x for k, x in arow if k == i), 0)
-        if diag and split is None:
-            # b's row j around its diagonal: the entries left of it, its
-            # value and the entries right of it, split once for all of a
-            split = [
-                ([e for e in brow if e[0] < j], next((y for l, y in brow if l == j), 0),
-                 [e for e in brow if e[0] > j])
-                for j, brow in enumerate(b_nz)
-            ]
-        for j, brow in enumerate(b_nz):
-            if diag:
-                left, at, right = split[j]
-                at += diag
-                row = [(base + l, y) for l, y in left]
-                if at:
-                    row.append((base + j, at))
-                row += [(base + l, y) for l, y in right]
+        if not arow:
+            out += [((base + e[0], e[1]),) if e else () for e in b_entries]
+            continue
+        ((k, x),) = arow
+        for j, e in enumerate(b_entries):
+            c = k * d + j
+            if e is None:
+                out.append(((c, x),))
+                continue
+            own = (base + e[0], e[1])
+            if own[0] == c:
+                out.append(((c, x + e[1]),) if x + e[1] else ())
             else:
-                row = [(base + l, y) for l, y in brow]
-            if below:
-                row[:0] = [(c + j, x) for c, x in below]
-            if above:
-                row += [(c + j, x) for c, x in above]
-            out.append(tuple(row))
+                out.append(((c, x), own) if c < own[0] else (own, (c, x)))
     return ExactMatrix._stored(a.rows * d, a.rows * d, tuple(out))
 
 

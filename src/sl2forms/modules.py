@@ -206,9 +206,10 @@ def act(module: WeightModule, g: str, v: ModuleVector) -> ModuleVector:
 def tensor_product(a: WeightModule, b: WeightModule) -> WeightModule:
     """A⊗B with the Leibniz action, basis lexicographic (left factor outer).
 
-    Each generator acts as ga⊗I + I⊗gb, built directly row by row
-    (`linalg.kron_sum`): row (i, j) holds A's row i at columns k·dim_b + j
-    and B's row j at columns i·dim_b + l.
+    Each generator acts as ga⊗I + I⊗gb (`linalg.kron_sum`).  On factors
+    whose generators hold at most one entry per row, as every V_m's do,
+    row (i, j) is built directly from A's entry of row i and B's entry of
+    row j; other factors take the two Kronecker products.
     """
     dim = a.dim * b.dim
     weights = tuple(wa + wb for wa in a.weights for wb in b.weights)

@@ -5,6 +5,7 @@ would, except `TestParser`, which reads `build_parser()` in process."""
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -416,6 +417,28 @@ class TestFullVerificationScript:
             )
             assert proc.returncode == 2, (flag, value)
             assert "Traceback" not in proc.stderr
+
+    def run_script(self, *args):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, str(self.SCRIPT), *args],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+
+    def test_small_bound_passes_on_every_grid_point(self):
+        proc = self.run_script("--max", "2")
+        assert proc.returncode == 0, proc.stderr
+        *rows, last = proc.stdout.splitlines()
+        assert len(rows) == 16
+        assert all(row.startswith("q=") and row.endswith("  PASS") for row in rows)
+        assert last == "overall: PASS"
+
+    def test_bound_past_verify_all_is_refused(self):
+        proc = self.run_script("--max", "41")
+        assert proc.returncode == 2
+        assert "must be at most 40" in proc.stderr
 
 
 # (golden file, arguments, exit code).  Each file under tests/golden/ is the

@@ -18,7 +18,14 @@ from sl2forms.forms import (
     structure_of,
     tensor_form,
 )
-from sl2forms.linalg import ExactMatrix, identity, mat_vec, primitive_integer, rank
+from sl2forms.linalg import (
+    ExactMatrix,
+    identity,
+    mat_vec,
+    primitive_integer,
+    rank,
+    zeros,
+)
 from sl2forms.modules import (
     ModuleVector,
     irreducible,
@@ -87,8 +94,11 @@ class TestIsStarForm:
         assert not report.nondegenerate and not report.ok
 
     def test_module_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        # named by the module check, not by a shape error further on
+        with pytest.raises(ValueError, match="form lives on V_1, not V_2"):
             is_star_form(irreducible(2), canonical_form(1, 1))
+        with pytest.raises(ValueError, match="form lives on V_3, not V_2"):
+            is_star_form(irreducible(2), canonical_form(3, 1))
 
 
 class TestStructureOf:
@@ -376,6 +386,11 @@ class TestEvaluate:
 class TestIntegerGram:
     """`BilinearForm.integer_gram` and the integer sum of `evaluate`, on
     symmetric sparse Gram matrices with a common scale drawn apart."""
+
+    def test_zero_form_has_scale_one(self):
+        module = irreducible(2)
+        c, p = BilinearForm(module, zeros(3, 3)).integer_gram
+        assert c == 1 and p == zeros(3, 3)
 
     @settings(max_examples=100)
     @given(

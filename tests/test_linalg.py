@@ -281,19 +281,35 @@ def sorted_kron_sum(a: ExactMatrix, b: ExactMatrix) -> tuple:
     return tuple(rows)
 
 
+def _one_entry_grid(draw, rows: int, cols: int) -> ExactMatrix:
+    """A matrix with at most one nonzero per row, in any column."""
+    column = st.none() | st.integers(min_value=0, max_value=cols - 1)
+    nonzero = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-1, 2)])
+    picks = [draw(column) for _ in range(rows)]
+    return ExactMatrix.from_sparse(
+        rows, cols, [() if c is None else ((c, draw(nonzero)),) for c in picks]
+    )
+
+
 @st.composite
 def kron_sum_cases(draw, max_dim: int = 6):
     """Square sparse a and b where some of b's diagonal entries are the
-    negatives of a's, so diagonal sums a_ii + b_jj often cancel."""
+    negatives of a's, so diagonal sums a_ii + b_jj often cancel.  Half the
+    draws hold at most one entry per row of a and of b, the shape of every
+    generator of V_m; there a diagonal entry replaces b's row."""
     dim = st.integers(min_value=1, max_value=max_dim)
     da, db = draw(dim), draw(dim)
-    a = _sparse_grid(draw, da, da)
-    grid = [list(row) for row in _sparse_grid(draw, db, db).entries]
+    one_entry = draw(st.booleans())
+    grid = _one_entry_grid if one_entry else _sparse_grid
+    a = grid(draw, da, da)
+    rows = [list(row) for row in grid(draw, db, db).entries]
     diagonal = [dict(row).get(i, 0) for i, row in enumerate(a.nonzero_rows)]
     for j in range(db):
         if draw(st.booleans()):
-            grid[j][j] = -draw(st.sampled_from(diagonal))
-    return a, ExactMatrix.from_rows(grid)
+            if one_entry:
+                rows[j] = [0] * db
+            rows[j][j] = -draw(st.sampled_from(diagonal))
+    return a, ExactMatrix.from_rows(rows)
 
 
 class TestShapes:
@@ -476,6 +492,18 @@ class TestKronSum:
 
     @settings(max_examples=200)
     @given(kron_sum_cases())
+    # one entry per row: a's diagonal, off-diagonal and empty rows against
+    # b's cancelling diagonal, off-diagonal, kept diagonal and empty rows
+    @example((
+        ExactMatrix.from_rows([[2, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [-1, 0, 0, 0]]),
+        ExactMatrix.from_rows([
+            [-2, 0, 0, 0, 0],
+            [0, 0, 0, 1, 0],
+            [0, 0, 5, 0, 0],
+            [0, 0, 0, 0, 0],
+            [0, Fraction(1, 2), 0, 0, 0],
+        ]),
+    ))
     def test_matches_sorted_reference(self, case):
         a, b = case
         k = kron_sum(a, b)

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2forms.linalg import ExactMatrix, identity, kron
+from sl2forms.linalg import ExactMatrix, identity, kron, zeros
 from sl2forms.modules import (
     GENERATORS,
+    DecompositionReport,
     ModuleVector,
+    WeightModule,
     act,
     check_relations,
     decompose,
@@ -102,7 +104,8 @@ class TestIrreducible:
             act(v, "Z", basis_vector(v, 0))
 
     def test_module_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        # named by the module check, not by a shape error further on
+        with pytest.raises(ValueError, match="vector lives in V_3, not V_2"):
             act(irreducible(2), "X", basis_vector(irreducible(3), 0))
 
 
@@ -270,6 +273,12 @@ class TestDecompose:
             (j, 1) for j in range(abs(m - n), m + n + 1, 2)
         )
         assert sum(mult * (j + 1) for j, mult in report.summands) == (m + 1) * (n + 1)
+
+    def test_empty_module(self):
+        empty = WeightModule("empty", 0, (), (), zeros(0, 0), zeros(0, 0), zeros(0, 0))
+        assert decompose(empty) == DecompositionReport(dim=0, summands=())
+        with pytest.raises(ValueError, match="dimension must be nonnegative"):
+            WeightModule("negative", -1, (), (), zeros(0, 0), zeros(0, 0), zeros(0, 0))
 
     def test_inconsistent_weights_rejected(self):
         broken = irreducible(2)

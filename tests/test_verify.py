@@ -6,6 +6,7 @@ import math
 import os
 import signal
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,15 @@ class TestSuites:
         assert [s.name for s in suites] == SUITE_NAMES
         assert all(s.ok for s in suites)
         assert all(s.checks > 0 for s in suites)
+
+    def test_suite_seconds_fit_in_the_call(self):
+        # in process each suite's seconds are its own share of the call;
+        # under --jobs > 1 their sum may exceed the wall time
+        t0 = time.perf_counter()
+        suites = verify_all(3, jobs=1)
+        wall = time.perf_counter() - t0
+        assert all(s.seconds >= 0 for s in suites)
+        assert sum(s.seconds for s in suites) <= wall
 
     def test_verify_all_bound_zero(self):
         suites = verify_all(0)
