@@ -35,35 +35,30 @@ Both sweeps carry only integers and build no record per tuple.  Each
 builds its tables once per sweep, sized by the bound, and walks (k, l)
 outermost, so that what depends only on k, l and m is computed once for a
 whole block of n; each puts its failures back in the (m, n, k, l) order of
-`admissible_tuples`.  Each route has one core, which the sweep and the
-public wrappers share:
+`admissible_tuples`.  The one-tuple entry points are the plain
+definitions, and the sweeps are tested against them:
 
-- Direct route.  `_km_tables` holds falling[j][x] = perm(x, j) and the
-  signed binomial rows (-1)^i C(k, i).  A tuple's sum takes two steps:
-  `_km_row` forms the left vector u_i = (-1)^i C(k, i)·perm(m-i, l), read
-  backwards from falling[l], and `_km_sums` takes its dot product with the
-  window perm(n-k+i, k-l), a slice of falling[k-l] (`_km_windows`).
-  `km_range_verify` builds the windows once per (k, l) and u once per m,
-  and compares each dot product with ±k! from a factorial table.
-  `_km_scaled` runs the same two steps on one tuple; `km_scaled_sum`,
-  `km_sum` and `km_check` wrap it and build only the three rows it reads:
-  at most 2·(max(m, n)+1) `perm` calls.
-- Series route.  `_series_map` gives the integer parameters and the
-  prefactor t₀, an unreduced pair of products of entries of a factorial
-  table (never `perm`, so the routes share no arithmetic).  `_horner` is
-  the one series kernel: Horner's rule on one integer numerator/denominator
-  pair, over factor numerators that start at p and step by q, so that the
-  Pochhammer factor a+i of a = p/q is (p + i·q)/q.  `series_route_verify`
-  calls it with unit steps on each tuple's integer parameters and compares
-  with the prefactor by cross-multiplication; `_series_pair`, and through
-  it `eval_3f2_terminating`, calls it with the parameters' denominators as
+- Direct route.  `km_scaled_sum` is the integer sum as written above,
+  2(k+1) `perm` calls.  `km_range_verify` reads the same factors from the
+  tables of `_km_tables`, falling[j][x] = perm(x, j) and (-1)^i C(k, i):
+  the windows perm(n-k+i, k-l) once per (k, l), the left vector
+  u_i = (-1)^i C(k, i)·perm(m-i, l) once per m, and one dot product per n.
+- Series route.  `to_3f2` gives the parameters and the prefactor t₀ from
+  factorials (never `perm`, so the routes share no arithmetic).  `_horner`
+  is the one series kernel: Horner's rule on one integer
+  numerator/denominator pair, over factor numerators that start at p and
+  step by q, so that the Pochhammer factor a+i of a = p/q is (p + i·q)/q.
+  `series_route_verify` writes each tuple's integer parameters and
+  prefactor inline, calls the kernel with unit steps and compares by
+  cross-multiplication; `_series_pair`, and through it
+  `eval_3f2_terminating`, calls it with the parameters' denominators as
   steps and the term ratio's scales folded into the first upper and lower
   numerators.  `_truncation_index` and `_check_lower` (the lower-parameter
   guard) are written once, and both callers use them.
 
 Each sweep reports the number of tuples it checked, and `km_tuple_count`
 and `series_tuple_count` give the numbers its bound promises by counting
-alone, never by walking tuples; `coverage_failures` compares the two.
+alone, never by walking tuples.
 """
 
 from __future__ import annotations
@@ -72,7 +67,7 @@ from fractions import Fraction
 from math import comb, perm
 from numbers import Rational
 from operator import mul
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .rationals import factorial
 
@@ -160,54 +155,21 @@ def _factorials(top: int) -> list[int]:
     return [factorial(j) for j in range(top + 1)]
 
 
-def _km_tables(
-    top: int, k: Optional[int] = None, l: Optional[int] = None
-) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+def _km_tables(top: int) -> tuple[list[list[int]], list[list[int]]]:
     """The direct route's tables for tuples with m, n ≤ top:
-    falling[j][x] = perm(x, j) and signed[k][i] = (-1)^i C(k, i), every row
-    by default, or given k and l only the rows that `_km_scaled` reads for
-    them: falling[l], falling[k-l] and signed[k]."""
-    js, ks = (range(top + 1),) * 2 if k is None else ({l, k - l}, (k,))
-    falling = {j: [perm(x, j) for x in range(top + 1)] for j in js}
-    signed = {j: [-comb(j, i) if i & 1 else comb(j, i) for i in range(j + 1)] for j in ks}
+    falling[j][x] = perm(x, j) and signed[k][i] = (-1)^i C(k, i)."""
+    falling = [[perm(x, j) for x in range(top + 1)] for j in range(top + 1)]
+    signed = [[-comb(k, i) if i & 1 else comb(k, i) for i in range(k + 1)]
+              for k in range(top + 1)]
     return falling, signed
 
 
-def _km_row(
-    falling: Mapping[int, list[int]], signed: Mapping[int, list[int]],
-    k: int, l: int, m: int,
-) -> list[int]:
-    """The direct route's first step, the part of the tuple's sum that does
-    not depend on n: u_i = (-1)^i C(k, i)·perm(m-i, l) for i = 0..k."""
-    return list(map(mul, signed[k], falling[l][m - k:m + 1][::-1]))
-
-
-def _km_windows(
-    falling: Mapping[int, list[int]], k: int, l: int, ns: Iterable[int]
-) -> list[list[int]]:
-    """For each n of `ns`, the window perm(n-k+i, k-l), i = 0..k: a slice of
-    falling[k-l], the same for every m."""
-    row = falling[k - l]
-    return [row[n - k:n + 1] for n in ns]
-
-
-def _km_sums(u: list[int], windows: list[list[int]]) -> list[int]:
-    """The second step: the dot product of u with each window."""
-    return [sum(map(mul, u, w)) for w in windows]
-
-
-def _km_scaled(
-    falling: Mapping[int, list[int]], signed: Mapping[int, list[int]],
-    k: int, l: int, m: int, n: int,
-) -> int:
-    """k! times the left-hand sum of the tuple (k, l, m, n), in integers:
-    Σᵢ signed[k][i]·perm(m-i, l)·perm(n-k+i, k-l) over i = 0..k."""
-    return _km_sums(_km_row(falling, signed, k, l, m), _km_windows(falling, k, l, (n,)))[0]
-
-
 def km_scaled_sum(p: KMParams) -> int:
-    """k! times the left-hand sum, in integers (expected: (-1)^{k+l} k!)."""
-    return _km_scaled(*_km_tables(max(p.m, p.n), p.k, p.l), *p)
+    """k! times the left-hand sum, in integers (expected: (-1)^{k+l} k!):
+    Σᵢ (-1)^i C(k, i)·perm(m-i, l)·perm(n-k+i, k-l) over i = 0..k."""
+    k, l, m, n = p
+    return sum((-1) ** i * comb(k, i) * perm(m - i, l) * perm(n - k + i, k - l)
+               for i in range(k + 1))
 
 
 def km_sum(p: KMParams) -> Fraction:
@@ -220,19 +182,14 @@ def km_check(p: KMParams) -> bool:
     return km_scaled_sum(p) == (-1) ** (p.k + p.l) * factorial(p.k)
 
 
-def _tuples(bound: int) -> Iterator[tuple[int, int, int, int]]:
-    """Every (k, l, m, n) with 0 ≤ m, n ≤ bound, 0 ≤ l ≤ k ≤ min(m, n)."""
+def admissible_tuples(bound: int) -> Iterator[KMParams]:
+    """Yield every KMParams with 0 ≤ m, n ≤ bound, 0 ≤ l ≤ k ≤ min(m, n),
+    in (m, n, k, l) order."""
     for m in range(bound + 1):
         for n in range(bound + 1):
             for k in range(min(m, n) + 1):
                 for l in range(k + 1):
-                    yield k, l, m, n
-
-
-def admissible_tuples(bound: int) -> Iterator[KMParams]:
-    """Yield every KMParams with 0 ≤ m, n ≤ bound, 0 ≤ l ≤ k ≤ min(m, n)."""
-    for k, l, m, n in _tuples(bound):
-        yield KMParams(k=k, l=l, m=m, n=n)
+                    yield KMParams(k=k, l=l, m=m, n=n)
 
 
 def km_tuple_count(bound: int) -> int:
@@ -258,20 +215,10 @@ def series_tuple_count(bound: int) -> int:
     return total
 
 
-def coverage_failures(report: KMSweepReport, expected: int) -> list[str]:
-    """One failure naming both numbers if the sweep checked other than the
-    `expected` number of tuples, else none."""
-    if report.tuples == expected:
-        return []
-    return [f"checked {report.tuples} tuples, expected {expected}"]
-
-
 def km_range_verify(bound: int) -> KMSweepReport:
     """Run km_check on every admissible tuple with m, n ≤ bound.
 
-    The walk is (k, l) outermost, with the windows of every n ≥ k built
-    once.  For each m it builds the row u of `_km_row` once, and each n is
-    one dot product of `_km_sums`.  The failures come back in the order of
+    The walk is (k, l) outermost; the failures come back in the order of
     `admissible_tuples`.
     """
     if bound < 0:
@@ -284,9 +231,13 @@ def km_range_verify(bound: int) -> KMSweepReport:
         span = range(k, bound + 1)  # both m and n run over it
         for l in range(k + 1):
             want = -facts[k] if (k + l) & 1 else facts[k]
-            windows = _km_windows(falling, k, l, span)
+            # perm(n-k+i, k-l), i = 0..k: the same slices for every m
+            row = falling[k - l]
+            windows = [row[n - k:n + 1] for n in span]
             for m in span:
-                sums = _km_sums(_km_row(falling, signed, k, l, m), windows)
+                # u_i = (-1)^i C(k, i)·perm(m-i, l), the part free of n
+                u = list(map(mul, signed[k], falling[l][m - k:m + 1][::-1]))
+                sums = [sum(map(mul, u, w)) for w in windows]
                 if sums.count(want) != len(sums):
                     failures += [(k, l, m, n) for n, s in zip(span, sums) if s != want]
                 count += len(sums)
@@ -305,7 +256,8 @@ def series_route_verify(bound: int) -> KMSweepReport:
     block's first tuple hold for every tuple of it: each is taken once per
     block, by the same `_truncation_index` and `_check_lower` as
     `_series_pair`.  Each tuple is then the parameters and prefactor of
-    `_series_map` and one call of the Horner kernel with unit steps.
+    `to_3f2`, in integers, and one call of the Horner kernel with unit
+    steps.
     """
     if bound < 0:
         raise ValueError(f"bound must be nonnegative (got {bound})")
@@ -334,38 +286,27 @@ def series_route_verify(bound: int) -> KMSweepReport:
     return KMSweepReport(bound=bound, tuples=count, failures=tuple(failures))
 
 
-def _series_map(
-    facts: Sequence[int], k: int, l: int, m: int, n: int
-) -> tuple[tuple[int, int, int], tuple[int, int], tuple[int, int]]:
-    """The ₃F₂ restatement of the tuple: integer upper and lower parameters,
-    and the prefactor t₀ as an unreduced pair (num, den) of factorials,
-    read from facts[j] = j! for j ≤ max(m, n)."""
-    shift = n + l - 2 * k
-    if shift < 0:
-        raise UnsupportedMappingError(
-            f"n+l-2k = {shift} < 0: the sum starts above i = 0 and has no "
-            "clean series form here; use km_sum"
-        )
-    return (
-        (-k, n - k + 1, l - m),
-        (-m, shift + 1),
-        (facts[m] * facts[n - k], facts[k] * facts[m - l] * facts[shift]),
-    )
-
-
 def to_3f2(p: KMParams) -> tuple[HypergeomSpec, Fraction]:
     """Restate km_sum(p) as prefactor × ₃F₂(…; 1).
 
     Requires n+l-2k ≥ 0 so the i = 0 summand is nonzero; the excluded case
     is covered by km_sum directly.
     """
-    upper, lower, prefactor = _series_map(_factorials(max(p.m, p.n)), *p)
+    k, l, m, n = p
+    shift = n + l - 2 * k
+    if shift < 0:
+        raise UnsupportedMappingError(
+            f"n+l-2k = {shift} < 0: the sum starts above i = 0 and has no "
+            "clean series form here; use km_sum"
+        )
     spec = HypergeomSpec(
-        upper=tuple(map(Fraction, upper)),
-        lower=tuple(map(Fraction, lower)),
+        upper=(Fraction(-k), Fraction(n - k + 1), Fraction(l - m)),
+        lower=(Fraction(-m), Fraction(shift + 1)),
         argument=Fraction(1),
     )
-    return spec, Fraction(*prefactor)
+    prefactor = Fraction(factorial(m) * factorial(n - k),
+                         factorial(k) * factorial(m - l) * factorial(shift))
+    return spec, prefactor
 
 
 def _truncation_index(upper: Iterable[Rational]) -> Optional[int]:

@@ -224,6 +224,8 @@ def _sweep(bound, names, q=1, r=1, jobs=1, corrupt=False) -> list[SuiteResult]:
     if bound < 0:
         raise ValueError(f"bound must be nonnegative (got {bound})")
     q, r = Fraction(q), Fraction(r)
+    if not q or not r:
+        raise ValueError(f"q and r must be nonzero (got q={q}, r={r})")
     tasks = [_Task((name,), partial(_local_checks, name, bound, q, r, corrupt))
              for name in names if name in _LOCAL_SUITES]
     paired = tuple(name for name in names if name in _PAIR_STEPS)
@@ -306,6 +308,6 @@ def verify_all(
 ) -> list[SuiteResult]:
     """Run every suite at the same bound; order is fixed and deterministic.
 
-    A negative bound is rejected before any suite runs.
+    A negative bound, or a zero q or r, is rejected before any suite runs.
     """
     return _sweep(bound, SUITES, q, r, jobs, corrupt)

@@ -6,6 +6,7 @@ would, except `TestParser`, which reads `build_parser()` in process."""
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -131,6 +132,17 @@ class TestVerifyKM:
         proc = run("verify-km", "--max", "1", "--jobs", "2")
         assert proc.returncode == 2
         assert "unrecognized arguments: --jobs 2" in proc.stderr
+
+    def test_each_route_is_timed_on_stderr(self):
+        # the suite names and format of verify-all's timings, then the total
+        proc = run("verify-km", "--max", "2")
+        assert proc.returncode == 0
+        assert "[time]" not in proc.stdout
+        lines = proc.stderr.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "[time] karlsson-minton", "[time] 3f2-route", "[time] total",
+        ]
+        assert all(re.fullmatch(r"\[time\] [\w-]+: \d+\.\d\ds", line) for line in lines)
 
 
 class TestVerifyStar:
@@ -453,6 +465,8 @@ GOLDEN_CASES = [
     ("verify-all-max4-corrupt",
      ["verify-all", "--max", "4", "--jobs", "1", "--debug-corrupt"], 1),
     ("omega-table-5-3", ["omega-table", "5", "3", "--q=2/3", "--r=-7"], 0),
+    # the command of the benchmark's km workload
+    ("verify-km-max16-json", ["verify-km", "--max", "16", "--format", "json"], 0),
     # the README's command-line examples, as written there
     ("readme-decompose", ["decompose", "2", "3"], 0),
     ("readme-singular-vector", ["singular-vector", "1", "1", "1"], 0),

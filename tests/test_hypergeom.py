@@ -409,7 +409,11 @@ class TestCorruptionOracles:
                 ):
                     expected.add((k, l, m, n))
         assert expected
-        assert set(km_range_verify(self.BOUND).failures) == expected
+        failures = km_range_verify(self.BOUND).failures
+        assert set(failures) == expected
+        # the one-tuple definition reads the same corrupted `perm`
+        assert [(p.k, p.l, p.m, p.n) for p in admissible_tuples(self.BOUND)
+                if not km_check(p)] == list(failures)
         assert series_route_verify(self.BOUND).ok
 
     def test_pochhammer_factor_fails_series_route_only(self, monkeypatch):
@@ -468,22 +472,19 @@ class TestCorruptionOracles:
 
 
 class TestIntegerCores:
-    """The integer cores that the sweeps call, and the sweeps' verdicts,
-    against the public wrappers on every admissible tuple up to the bound."""
+    """The sweeps' kernel calls and verdicts against the one-tuple
+    definitions on every admissible tuple up to the bound."""
 
     BOUND = 12
 
     def test_tuples_match_admissible_tuples_in_order(self):
-        tuples = list(hypergeom._tuples(self.BOUND))
-        assert tuples == [(p.k, p.l, p.m, p.n) for p in admissible_tuples(self.BOUND)]
+        tuples = [(p.k, p.l, p.m, p.n) for p in admissible_tuples(self.BOUND)]
         lexicographic = sorted(set(tuples), key=lambda t: (t[2], t[3], t[0], t[1]))
         assert tuples == lexicographic
 
     def test_direct_core_and_sweep_match_km_scaled_sum(self):
-        tables = hypergeom._km_tables(self.BOUND)
         failures = []
         for p in admissible_tuples(self.BOUND):
-            assert hypergeom._km_scaled(*tables, p.k, p.l, p.m, p.n) == km_scaled_sum(p)
             if not km_check(p):
                 failures.append((p.k, p.l, p.m, p.n))
         report = km_range_verify(self.BOUND)
@@ -495,7 +496,8 @@ class TestIntegerCores:
     ])
     def test_one_tuple_builds_only_the_rows_it_reads(self, monkeypatch, k, l, m, n):
         # the wrappers read `perm` from the module, like the sweep, so a
-        # patched `hypergeom.perm` sees every call they make
+        # patched `hypergeom.perm` sees every call they make: two per
+        # summand, however large m and n are
         calls = []
 
         def counted(x, j):
@@ -507,14 +509,14 @@ class TestIntegerCores:
         for wrapper in (km_scaled_sum, km_sum, km_check):
             calls.clear()
             wrapper(p)
-            assert 0 < len(calls) <= 2 * (max(m, n) + 1), wrapper.__name__
+            assert len(calls) == 2 * (k + 1), wrapper.__name__
         assert km_scaled_sum(p) == (-1) ** (k + l) * math.factorial(k)
 
     def test_series_sweep_kernel_calls_match_series_pair(self, monkeypatch):
         # The sweep takes the truncation index and the lower-parameter guard
         # once per block of n.  On every mapped tuple its kernel call must
         # still be the one `_series_pair` makes, through `_truncation_index`
-        # and `_check_lower`, for the parameters of `_series_map`.
+        # and `_check_lower`, for the parameters of `to_3f2`.
         from collections import Counter
 
         calls = []
@@ -524,30 +526,24 @@ class TestIntegerCores:
         assert series_route_verify(self.BOUND).ok
         swept = Counter(calls)
         calls.clear()
-        facts = hypergeom._factorials(self.BOUND)
         for p in admissible_tuples(self.BOUND):
             if p.n + p.l - 2 * p.k >= 0:
-                upper, lower, _ = hypergeom._series_map(facts, *p)
-                hypergeom._series_pair(upper, lower, 1)
+                spec, _ = to_3f2(p)
+                hypergeom._series_pair(spec.upper, spec.lower, spec.argument)
         assert len(calls) == hypergeom.series_tuple_count(self.BOUND)
         assert swept == Counter(calls)
 
     def test_series_cores_and_sweep_match_to_3f2_and_eval(self):
-        facts = hypergeom._factorials(self.BOUND)
         count, failures = 0, []
         for p in admissible_tuples(self.BOUND):
             t = (p.k, p.l, p.m, p.n)
             if p.n + p.l - 2 * p.k < 0:
                 with pytest.raises(UnsupportedMappingError):
-                    hypergeom._series_map(facts, *t)
+                    to_3f2(p)
                 continue
-            upper, lower, (num, den) = hypergeom._series_map(facts, *t)
-            assert all(type(x) is int for x in (*upper, *lower, num, den))
             spec, prefactor = to_3f2(p)
-            assert (spec.upper, spec.lower, spec.argument) == (upper, lower, 1)
-            assert Fraction(num, den) == prefactor
             series = eval_3f2_terminating(spec)
-            assert Fraction(*hypergeom._series_pair(upper, lower, 1)) == series
+            assert Fraction(*hypergeom._series_pair(spec.upper, spec.lower, 1)) == series
             count += 1
             if prefactor * series != (-1) ** (p.k + p.l):
                 failures.append(t)

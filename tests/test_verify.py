@@ -121,6 +121,15 @@ class TestSuites:
         with pytest.raises(ValueError, match="nonnegative"):
             entry(-1)
 
+    @pytest.mark.parametrize("zero", ["q", "r"])
+    @pytest.mark.parametrize("entry", [
+        verify_all, verify_star, sweep_star_forms, sweep_omega_signs,
+    ], ids=lambda entry: entry.__name__)
+    def test_every_qr_entry_point_rejects_a_zero_q_or_r(self, monkeypatch, entry, zero):
+        self.forbid_suites(monkeypatch)
+        with pytest.raises(ValueError, match="nonzero"):
+            entry(1, **{zero: 0})
+
     def test_degenerate_star_form_is_named_on_every_module(self, monkeypatch):
         # V_m and V_m⊗V_n failures share one text, naming every property
         monkeypatch.setattr(forms, "rank", lambda matrix: 0)
@@ -543,14 +552,18 @@ class TestForkJoin:
         assert not waiter.is_alive()
         assert pids == [os.getpid()] * 4
 
-    @pytest.mark.parametrize("corrupt", [[], ["--debug-corrupt"]], ids=["clean", "corrupt"])
-    def test_verify_all_stdout_does_not_depend_on_jobs(self, capsys, corrupt):
+    # verify-star plans its two V_m tasks and then the pairs, unlike verify-all
+    @pytest.mark.parametrize("args, code", [
+        (["verify-all", "--max", "7"], 0),
+        (["verify-all", "--max", "7", "--debug-corrupt"], 1),
+        (["verify-star", "--max", "7", "--q", "1/2"], 0),
+    ], ids=["clean", "corrupt", "verify-star"])
+    def test_verify_all_stdout_does_not_depend_on_jobs(self, capsys, args, code):
         out = []
         for jobs in ("1", "2"):
-            code = cli.main(["verify-all", "--max", "7", "--jobs", jobs, *corrupt])
-            out.append((code, capsys.readouterr().out))
+            out.append((cli.main([*args, "--jobs", jobs]), capsys.readouterr().out))
         assert out[0] == out[1]
-        assert out[0][0] == (1 if corrupt else 0)
+        assert out[0][0] == code
 
     def test_karlsson_minton_corruption_at_both_worker_counts(self, monkeypatch):
         # perm(5, 4) feeds only the direct Karlsson-Minton sum
