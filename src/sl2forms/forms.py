@@ -61,13 +61,13 @@ class BilinearForm(_BilinearFormFields):
     `integer_gram` has an instance ``__dict__`` to live in.
     """
 
-    def __new__(cls, module: WeightModule, gram: ExactMatrix) -> BilinearForm:
+    def _check(self) -> None:
+        module, gram = self
         d = module.dim
         if gram.rows != d or gram.cols != d:
             raise ValueError(f"gram matrix must be {d}x{d} for {module.label}")
         if gram != gram.transpose:
             raise ValueError("gram matrix must be symmetric")
-        return super().__new__(cls, module, gram)
 
     @cached_property
     def integer_gram(self) -> tuple[Scalar, ExactMatrix]:

@@ -70,6 +70,7 @@ from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .rationals import factorial
+from .records import frozen
 
 
 class UnsupportedMappingError(ValueError):
@@ -80,57 +81,41 @@ class IllDefinedSeriesError(ValueError):
     """A lower Pochhammer factor vanishes at or before the truncation index."""
 
 
-# Like every record of the package, these are NamedTuples, not dataclasses:
-# importing `dataclasses` loads `inspect`, `ast` and `dis`, which no
-# subcommand otherwise needs (see `records`).  A record subclasses its field
-# tuple so that `__new__` can validate.
-class _KMFields(NamedTuple):
+@frozen
+class KMParams(NamedTuple):
+    """Integer parameters with 0 ≤ l ≤ k ≤ min(m, n)."""
+
     k: int
     l: int
     m: int
     n: int
 
-
-class KMParams(_KMFields):
-    """Integer parameters with 0 ≤ l ≤ k ≤ min(m, n)."""
-
-    __slots__ = ()
-
-    def __new__(cls, k: int, l: int, m: int, n: int) -> KMParams:
+    def _check(self) -> None:
+        k, l, m, n = self
         if not 0 <= l <= k <= min(m, n):
             raise ValueError(
                 f"need 0 <= l <= k <= min(m, n); got k={k}, l={l}, m={m}, n={n}"
             )
-        return super().__new__(cls, k, l, m, n)
 
 
-class _HypergeomFields(NamedTuple):
-    upper: tuple[Fraction, Fraction, Fraction]
-    lower: tuple[Fraction, Fraction]
-    argument: Fraction
-
-
-class HypergeomSpec(_HypergeomFields):
+@frozen
+class HypergeomSpec(NamedTuple):
     """A ₃F₂ series: three upper parameters, two lower, one argument.
 
     At least one upper parameter must be a non-positive integer so the
     series terminates.
     """
 
-    __slots__ = ()
+    upper: tuple[Fraction, Fraction, Fraction]
+    lower: tuple[Fraction, Fraction]
+    argument: Fraction
 
-    def __new__(
-        cls,
-        upper: tuple[Fraction, Fraction, Fraction],
-        lower: tuple[Fraction, Fraction],
-        argument: Fraction,
-    ) -> HypergeomSpec:
-        if _truncation_index(upper) is None:
+    def _check(self) -> None:
+        if _truncation_index(self.upper) is None:
             raise ValueError(
                 "series does not terminate: no upper parameter is a "
                 "non-positive integer"
             )
-        return super().__new__(cls, upper, lower, argument)
 
     @property
     def truncation_index(self) -> int:
@@ -138,6 +123,7 @@ class HypergeomSpec(_HypergeomFields):
         return _truncation_index(self.upper)
 
 
+@frozen
 class KMSweepReport(NamedTuple):
     """Exhaustive check of the identity for all admissible tuples, m,n ≤ bound."""
 

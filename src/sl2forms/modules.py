@@ -56,16 +56,8 @@ class WeightModule(_WeightModuleFields):
     `weight_positions` has an instance ``__dict__`` to live in.
     """
 
-    def __new__(
-        cls,
-        label: str,
-        dim: int,
-        weights: tuple[int, ...],
-        basis_names: tuple[str, ...],
-        actX: ExactMatrix,
-        actY: ExactMatrix,
-        actH: ExactMatrix,
-    ) -> WeightModule:
+    def _check(self) -> None:
+        _, dim, weights, basis_names, actX, actY, actH = self
         if dim < 0:
             raise ValueError("module dimension must be nonnegative")
         if len(weights) != dim or len(basis_names) != dim:
@@ -73,7 +65,6 @@ class WeightModule(_WeightModuleFields):
         for g, mat in zip(GENERATORS, (actX, actY, actH)):
             if mat.rows != dim or mat.cols != dim:
                 raise ValueError(f"act{g} must be {dim}x{dim}")
-        return super().__new__(cls, label, dim, weights, basis_names, actX, actY, actH)
 
     @cached_property
     def weight_positions(self) -> dict[int, tuple[int, ...]]:
@@ -94,24 +85,20 @@ class WeightModule(_WeightModuleFields):
         raise ValueError(f"unknown generator {g!r}; expected one of {GENERATORS}")
 
 
-class _ModuleVectorFields(NamedTuple):
+@frozen
+class ModuleVector(NamedTuple):
+    """Exact coordinate vector in a module's basis."""
+
     module: WeightModule
     coords: tuple[Scalar, ...]
 
-
-@frozen
-class ModuleVector(_ModuleVectorFields):
-    """Exact coordinate vector in a module's basis."""
-
-    __slots__ = ()
-
-    def __new__(cls, module: WeightModule, coords: tuple[Scalar, ...]) -> ModuleVector:
+    def _check(self) -> None:
+        module, coords = self
         if len(coords) != module.dim:
             raise ValueError(
                 f"vector of length {len(coords)} does not live in "
                 f"{module.label} (dim {module.dim})"
             )
-        return super().__new__(cls, module, coords)
 
     def is_zero(self) -> bool:
         return not any(self.coords)
@@ -129,27 +116,21 @@ class RelationReport(NamedTuple):
         return not self.failures
 
 
-class _DecompositionFields(NamedTuple):
+@frozen
+class DecompositionReport(NamedTuple):
+    """Multiset of irreducible summands: (m_j, multiplicity) pairs, m_j ascending."""
+
     dim: int
     summands: tuple[tuple[int, int], ...]
 
-
-@frozen
-class DecompositionReport(_DecompositionFields):
-    """Multiset of irreducible summands: (m_j, multiplicity) pairs, m_j ascending."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls, dim: int, summands: tuple[tuple[int, int], ...]
-    ) -> DecompositionReport:
+    def _check(self) -> None:
+        dim, summands = self
         total = sum(mult * (j + 1) for j, mult in summands)
         if total != dim:
             raise ValueError(
                 f"summand dimensions add to {total}, not {dim}: "
                 "weight multiset is not a direct sum of irreducibles"
             )
-        return super().__new__(cls, dim, summands)
 
 
 @lru_cache(maxsize=None)

@@ -53,23 +53,18 @@ class OmegaRow(NamedTuple):
     sign: int
 
 
-class _OmegaReportFields(NamedTuple):
+@frozen
+class OmegaReport(NamedTuple):
+    """All rows k = 0..min(m,n) for one (m, n, q, r)."""
+
     m: int
     n: int
     q: Fraction
     r: Fraction
     rows: tuple[OmegaRow, ...]
 
-
-@frozen
-class OmegaReport(_OmegaReportFields):
-    """All rows k = 0..min(m,n) for one (m, n, q, r)."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls, m: int, n: int, q: Fraction, r: Fraction, rows: tuple[OmegaRow, ...]
-    ) -> OmegaReport:
+    def _check(self) -> None:
+        m, n, _, _, rows = self
         expected_k = tuple(range(min(m, n) + 1))
         if tuple(row.k for row in rows) != expected_k:
             raise ValueError(f"rows must cover k = 0..{min(m, n)} in order")
@@ -78,7 +73,6 @@ class OmegaReport(_OmegaReportFields):
                 raise ValueError(f"row k={row.k} has s={row.s}, expected m+n-2k")
             if not row.value:
                 raise ValueError(f"row k={row.k} has value 0; ω_k must be nondegenerate")
-        return super().__new__(cls, m, n, q, r, rows)
 
 
 @frozen

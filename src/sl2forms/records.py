@@ -1,18 +1,23 @@
 """What the package's immutable records share.
 
-Every record is a `typing.NamedTuple`, or a subclass of one whose `__new__`
-validates, and `ExactMatrix` is a plain class; none is a dataclass, because
-importing `dataclasses` loads `inspect`, `ast` and `dis`, which no
-subcommand otherwise needs.  A record built on a tuple would also inherit
-tuple concatenation and repetition, and a subclass that holds a
-`functools.cached_property` has an instance `__dict__`.  `frozen` takes
-those back: `+` and `*` raise `TypeError`, setting or deleting any
-attribute raises `AttributeError` (a cached property still fills in, since
-it writes the instance `__dict__` directly), and `_make`, and through it
-`_replace`, runs the validating constructor.
+A record is one `typing.NamedTuple` declaration under `frozen`: its fields
+and, optionally, a `_check(self)` that raises on invalid fields.  A
+NamedTuple class body may not define `__new__`, so `frozen` installs one
+that runs `_check` on the built tuple, on every construction path: calls,
+`_make`, `_replace`, deep copy and pickle (protocol 2 and up; 0 and 1
+rebuild through `tuple.__new__`).  A record subclasses its field tuple
+only to cache a `functools.cached_property`, which needs the instance
+`__dict__` that a NamedTuple's `__slots__ = ()` rules out.  `frozen` also
+refuses tuple arithmetic (`+` and `*` raise `TypeError`) and every
+attribute write or delete (`AttributeError`; a cached property still fills
+in, since it writes the instance `__dict__` directly).  `ExactMatrix` is a
+plain class.  No record is a dataclass: importing `dataclasses` loads
+`inspect`, `ast` and `dis`, which no subcommand otherwise needs.
 """
 
 from __future__ import annotations
+
+from functools import wraps
 
 
 def read_only(self, name: str, *value) -> None:
@@ -35,4 +40,15 @@ def frozen(cls: type) -> type:
     cls.__setattr__ = cls.__delattr__ = read_only
     cls.__add__ = cls.__radd__ = cls.__mul__ = cls.__rmul__ = _no_arithmetic
     cls._make = classmethod(_make)
+    check = vars(cls).get("_check")
+    if check is not None:
+        build = cls.__new__
+
+        @wraps(build)
+        def __new__(cls, *fields, **named):
+            record = build(cls, *fields, **named)
+            check(record)
+            return record
+
+        cls.__new__ = __new__
     return cls

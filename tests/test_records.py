@@ -1,20 +1,28 @@
 """The package's immutable records: `ExactMatrix` and the NamedTuple records
-of `modules`, `forms`, `omega` and `verify` (see `sl2forms.records`).
+of `modules`, `forms`, `omega`, `hypergeom` and `verify` (see
+`sl2forms.records`).
 
 Each record must survive a pickle round trip under every protocol, and a
 deep copy, as an equal object of the same type: the process pool pickles
 what it passes, and a tuple-based record whose constructor were not its
 fields would be rebuilt wrongly.  Fields stay immutable, tuple arithmetic
 stays refused, and a copy with changes is validated like a new record.
+Every public NamedTuple of the package is `frozen` and covered here.
 """
 
 import copy
 import pickle
+import pkgutil
+import re
 from fractions import Fraction
+from importlib import import_module
 
 import pytest
 
+import sl2forms
+from sl2forms import records as records_module
 from sl2forms.forms import is_star_form, tensor_of_canonical_forms
+from sl2forms.hypergeom import KMParams, km_range_verify, to_3f2
 from sl2forms.linalg import ExactMatrix
 from sl2forms.modules import (
     check_relations,
@@ -37,6 +45,7 @@ def records():
     form = tensor_of_canonical_forms(2, 1, Q, R)
     form.integer_gram
     alternation = check_sign_alternation(2, 1, Q, R)
+    params = KMParams(2, 1, 3, 3)
     return {
         "ExactMatrix": matrix,
         "WeightModule": module,
@@ -49,6 +58,9 @@ def records():
         "OmegaReport": alternation.table,
         "SignAlternationReport": alternation,
         "SuiteResult": SuiteResult("relations", 3, ("V_1: [X,Y]=H",), 0.25),
+        "KMParams": params,
+        "HypergeomSpec": to_3f2(params)[0],
+        "KMSweepReport": km_range_verify(2),
     }
 
 
@@ -58,6 +70,32 @@ TUPLE_RECORDS = {name: r for name, r in RECORDS.items() if name != "ExactMatrix"
 
 def test_every_record_type_is_covered():
     assert [type(r).__name__ for r in RECORDS.values()] == list(RECORDS)
+
+
+def public_named_tuples():
+    """Every NamedTuple class defined in a layer of the package whose name
+    does not start with ``_`` (so `verify._Task`, private plan plumbing, and
+    the field tuples are left out)."""
+    found = {}
+    for info in pkgutil.iter_modules(sl2forms.__path__):
+        if info.name.startswith("_"):
+            continue
+        layer = import_module(f"sl2forms.{info.name}")
+        for name, value in vars(layer).items():
+            if (isinstance(value, type) and issubclass(value, tuple)
+                    and hasattr(value, "_fields")
+                    and value.__module__ == layer.__name__
+                    and not name.startswith("_")):
+                found[name] = value
+    return found
+
+
+def test_every_public_named_tuple_is_frozen_and_covered():
+    found = public_named_tuples()
+    assert set(found) == set(TUPLE_RECORDS)
+    for name, cls in found.items():
+        assert cls.__add__ is records_module._no_arithmetic, name
+        assert cls._make.__func__ is records_module._make, name
 
 
 @pytest.mark.parametrize("record", RECORDS.values(), ids=list(RECORDS))
@@ -137,11 +175,19 @@ INVALID_CHANGES = {
     "BilinearForm": ({"gram": ExactMatrix.from_rows([[1, 2], [0, 1]])},
                      "gram matrix must be 6x6"),
     "OmegaReport": ({"rows": ()}, "rows must cover k = 0..1 in order"),
+    "OmegaReport-s": (
+        {"rows": (RECORDS["OmegaRow"]._replace(k=0), RECORDS["OmegaRow"])},
+        "row k=0 has s=1, expected m+n-2k",
+    ),
+    "WeightModule-actX": ({"actX": ExactMatrix.from_rows([[1]])}, "actX must be 6x6"),
+    "KMParams": ({"k": 5}, "need 0 <= l <= k"),
+    "HypergeomSpec": ({"upper": (Fraction(1, 2), Fraction(1), Fraction(3))},
+                      "series does not terminate"),
 }
 
 
-@pytest.mark.parametrize("name", INVALID_CHANGES)
-def test_replace_validates_like_the_constructor(name):
-    changes, message = INVALID_CHANGES[name]
-    with pytest.raises(ValueError, match=message):
-        RECORDS[name]._replace(**changes)
+@pytest.mark.parametrize("case", INVALID_CHANGES)
+def test_replace_validates_like_the_constructor(case):
+    changes, message = INVALID_CHANGES[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RECORDS[case.partition("-")[0]]._replace(**changes)
