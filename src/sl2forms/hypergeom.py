@@ -44,17 +44,14 @@ definitions, and the sweeps are tested against them:
   the windows perm(n-k+i, k-l) once per (k, l), the left vector
   u_i = (-1)^i C(k, i)·perm(m-i, l) once per m, and one dot product per n.
 - Series route.  `to_3f2` gives the parameters and the prefactor t₀ from
-  factorials (never `perm`, so the routes share no arithmetic).  `_horner`
-  is the one series kernel: Horner's rule on one integer
-  numerator/denominator pair, over factor numerators that start at p and
-  step by q, so that the Pochhammer factor a+i of a = p/q is (p + i·q)/q.
-  `series_route_verify` writes each tuple's integer parameters and
-  prefactor inline, calls the kernel with unit steps and compares by
-  cross-multiplication; `_series_pair`, and through it
-  `eval_3f2_terminating`, calls it with the parameters' denominators as
-  steps and the term ratio's scales folded into the first upper and lower
-  numerators.  `_truncation_index` and `_check_lower` (the lower-parameter
-  guard) are written once, and both callers use them.
+  factorials (never `perm`, so the routes share no arithmetic).
+  `eval_3f2_terminating` is the series as defined: each term is the last
+  one times the term ratio, summed in `Fraction`s.  `series_route_verify`
+  writes each tuple's integer parameters and prefactor inline, sums the
+  series with `_horner`, Horner's rule on one unreduced integer
+  numerator/denominator pair, and compares by cross-multiplication.  The
+  reference and the sweep share only `_truncation_index` and
+  `_check_lower` (the lower-parameter guard), and no arithmetic.
 
 Each sweep reports the number of tuples it checked, and `km_tuple_count`
 and `series_tuple_count` give the numbers its bound promises by counting
@@ -67,7 +64,7 @@ from fractions import Fraction
 from math import comb, perm
 from numbers import Rational
 from operator import mul
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .rationals import factorial
 from .records import frozen
@@ -241,9 +238,8 @@ def series_route_verify(bound: int) -> KMSweepReport:
     positive, so the truncation index and the lower-parameter guard of the
     block's first tuple hold for every tuple of it: each is taken once per
     block, by the same `_truncation_index` and `_check_lower` as
-    `_series_pair`.  Each tuple is then the parameters and prefactor of
-    `to_3f2`, in integers, and one call of the Horner kernel with unit
-    steps.
+    `eval_3f2_terminating`.  Each tuple is then the parameters and
+    prefactor of `to_3f2`, in integers, and one call of the Horner kernel.
     """
     if bound < 0:
         raise ValueError(f"bound must be nonnegative (got {bound})")
@@ -262,8 +258,7 @@ def series_route_verify(bound: int) -> KMSweepReport:
                 pre_num, pre_den = facts[m], facts[k] * facts[m - l]
                 # n-k runs from k-l and n+l-2k from 0 as n runs over ns
                 for n, f_nk, f_shift in zip(ns, facts[k - l:], facts):
-                    num, den = _horner(t, -k, n - k + 1, l - m, -m, n + l - 2 * k + 1,
-                                       1, 1, 1, 1, 1)
+                    num, den = _horner(t, -k, n - k + 1, l - m, -m, n + l - 2 * k + 1)
                     # prefactor·num/den = (-1)^{k+l}, cross-multiplied
                     if pre_num * f_nk * num != pre_den * f_shift * (-den if odd else den):
                         failures.append((k, l, m, n))
@@ -308,12 +303,20 @@ def _truncation_index(upper: Iterable[Rational]) -> Optional[int]:
 def eval_3f2_terminating(spec: HypergeomSpec) -> Fraction:
     """Σ_{i=0}^{T} (a₁)ᵢ(a₂)ᵢ(a₃)ᵢ / ((b₁)ᵢ(b₂)ᵢ i!) zⁱ with exact arithmetic.
 
-    T is the truncation index; a lower Pochhammer factor vanishing at or
-    before T makes the series ill-defined.  The term ratio at index i is
-    num/den with integers num = z_p·q_{b₁}q_{b₂}·Π(p_{aⱼ} + i·q_{aⱼ}) and
-    den = z_q·q_{a₁}q_{a₂}q_{a₃}·Π(p_{bⱼ} + i·q_{bⱼ})·(i+1), where x = p_x/q_x.
+    T is the truncation index; before any term is formed, `_check_lower`
+    raises IllDefinedSeriesError if a lower Pochhammer factor vanishes at or
+    before T.  Term i+1 is term i times (a₁+i)(a₂+i)(a₃+i)·z over
+    (b₁+i)(b₂+i)(i+1), in `Fraction`s.
     """
-    return Fraction(*_series_pair(spec.upper, spec.lower, spec.argument))
+    t = spec.truncation_index
+    (a1, a2, a3), (b1, b2) = spec.upper, spec.lower
+    _check_lower(t, b1, b2)
+    term = total = Fraction(1)
+    for i in range(t):
+        term *= (a1 + i) * (a2 + i) * (a3 + i) * spec.argument
+        term /= (b1 + i) * (b2 + i) * (i + 1)
+        total += term
+    return total
 
 
 def _check_lower(t: int, b1: Rational, b2: Rational) -> None:
@@ -329,58 +332,16 @@ def _check_lower(t: int, b1: Rational, b2: Rational) -> None:
         )
 
 
-def _horner(
-    t: int, x1: int, x2: int, x3: int, y1: int, y2: int,
-    s1: int, s2: int, s3: int, d1: int, d2: int,
-) -> tuple[int, int]:
+def _horner(t: int, x1: int, x2: int, x3: int, y1: int, y2: int) -> tuple[int, int]:
     """The Horner kernel: 1 + r₀(1 + r₁(… (1 + r_{t-1}))) as an unreduced
     integer pair (num, den), where the term ratio r_i is
-    (x1 + i·s1)(x2 + i·s2)(x3 + i·s3) / ((y1 + i·d1)(y2 + i·d2)(i+1)).
+    (x1 + i)(x2 + i)(x3 + i) / ((y1 + i)(y2 + i)(i+1)).
 
-    Each numerator starts at its factor at index t and steps down by its
-    step to index 0; no lower numerator may vanish below index t.
+    The factors run from index t-1 down to 0; no lower factor may vanish
+    below index t.
     """
-    x1 += t * s1
-    x2 += t * s2
-    x3 += t * s3
-    y1 += t * d1
-    y2 += t * d2
-    acc_num = acc_den = 1
-    while t:
-        x1 -= s1
-        x2 -= s2
-        x3 -= s3
-        y1 -= d1
-        y2 -= d2
-        acc_den *= y1 * y2 * t
-        acc_num = acc_den + x1 * x2 * x3 * acc_num
-        t -= 1
-    return acc_num, acc_den
-
-
-def _series_pair(
-    upper: Sequence[Rational], lower: Sequence[Rational], z: Rational
-) -> tuple[int, int]:
-    """The series of `eval_3f2_terminating` with parameters given as ints or
-    `Fraction`s, as an unreduced integer pair (num, den), den != 0.
-
-    The upper parameters must include a non-positive integer; T is the
-    truncation index.  Before any term is formed, `_check_lower` raises
-    IllDefinedSeriesError if b₁+i or b₂+i vanishes for some i < T.  The
-    factor a+i of a = p/q is (p + i·q)/q, so `_horner` runs on the integer
-    numerators p with steps q; the scales z_p·q_{b₁}q_{b₂} of the term
-    ratio's numerator and z_q·q_{a₁}q_{a₂}q_{a₃} of its denominator ride
-    on the first upper and the first lower numerator and step.
-    """
-    t = _truncation_index(upper)
-    (a1, a2, a3), (b1, b2) = upper, lower
-    _check_lower(t, b1, b2)
-    num_scale = z.numerator * b1.denominator * b2.denominator
-    den_scale = z.denominator * a1.denominator * a2.denominator * a3.denominator
-    return _horner(
-        t,
-        num_scale * a1.numerator, a2.numerator, a3.numerator,
-        den_scale * b1.numerator, b2.numerator,
-        num_scale * a1.denominator, a2.denominator, a3.denominator,
-        den_scale * b1.denominator, b2.denominator,
-    )
+    num = den = 1
+    for i in range(t - 1, -1, -1):
+        den *= (y1 + i) * (y2 + i) * (i + 1)
+        num = den + (x1 + i) * (x2 + i) * (x3 + i) * num
+    return num, den

@@ -4,9 +4,10 @@ A record is one `typing.NamedTuple` declaration under `frozen`: its fields
 and, optionally, a `_check(self)` that raises on invalid fields.  A
 NamedTuple class body may not define `__new__`, so `frozen` installs one
 that runs `_check` on the built tuple, on every construction path: calls,
-`_make`, `_replace`, deep copy and pickle (protocol 2 and up; 0 and 1
-rebuild through `tuple.__new__`).  A record subclasses its field tuple
-only to cache a `functools.cached_property`, which needs the instance
+`_make`, `_replace`, deep copy and pickle at every protocol (a record
+reduces to its class and its fields, so a copy is rebuilt by a call and
+its cached properties are computed afresh).  A record subclasses its field
+tuple only to cache a `functools.cached_property`, which needs the instance
 `__dict__` that a NamedTuple's `__slots__ = ()` rules out.  `frozen` also
 refuses tuple arithmetic (`+` and `*` raise `TypeError`) and every
 attribute write or delete (`AttributeError`; a cached property still fills
@@ -35,11 +36,16 @@ def _make(cls, iterable):
     return cls(*iterable)
 
 
+def _reduce(self):
+    return type(self), tuple(self)
+
+
 def frozen(cls: type) -> type:
     """Class decorator for a NamedTuple record, as described above."""
     cls.__setattr__ = cls.__delattr__ = read_only
     cls.__add__ = cls.__radd__ = cls.__mul__ = cls.__rmul__ = _no_arithmetic
     cls._make = classmethod(_make)
+    cls.__reduce__ = _reduce
     check = vars(cls).get("_check")
     if check is not None:
         build = cls.__new__

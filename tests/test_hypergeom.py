@@ -279,6 +279,18 @@ class TestSeriesForm:
         spec, prefactor = to_3f2(p)
         assert prefactor * eval_3f2_terminating(spec) == km_sum(p)
 
+    @pytest.mark.parametrize("k, l, m, n", [
+        (1, 0, 1, 2), (2, 1, 3, 4), (4, 1, 9, 7), (6, 6, 6, 8), (5, 2, 12, 11),
+    ])
+    def test_definition_shares_no_code_with_the_sweep(self, monkeypatch, k, l, m, n):
+        def sweep_only(*args):
+            raise AssertionError("a sweep helper ran")
+
+        for name in ("_horner", "_factorials", "_km_tables"):
+            monkeypatch.setattr(hypergeom, name, sweep_only)
+        spec, prefactor = to_3f2(KMParams(k, l, m, n))
+        assert prefactor * eval_3f2_terminating(spec) == (-1) ** (k + l)
+
     def test_sweep_clean(self):
         assert series_route_verify(8).ok
 
@@ -417,14 +429,13 @@ class TestCorruptionOracles:
         assert series_route_verify(self.BOUND).ok
 
     def test_pochhammer_factor_fails_series_route_only(self, monkeypatch):
-        def corrupted(t, *numerators_and_steps):
+        def corrupted(t, *parameters):
             # the kernel's series, summed here from its factor lists, with
-            # the factor at index T-1 of each parameter x/s = -3 doubled
-            starts, steps = numerators_and_steps[:5], numerators_and_steps[5:]
+            # the factor at index T-1 of each parameter x = -3 doubled
             factors = []
-            for x, s in zip(starts, steps):
-                row = [x + i * s for i in range(t)]
-                if row and s and x == self.BAD_PARAM * s:
+            for x in parameters:
+                row = [x + i for i in range(t)]
+                if row and x == self.BAD_PARAM:
                     row[-1] *= 2
                 factors.append(row)
             xs1, xs2, xs3, ys1, ys2 = factors
@@ -512,11 +523,11 @@ class TestIntegerCores:
             assert len(calls) == 2 * (k + 1), wrapper.__name__
         assert km_scaled_sum(p) == (-1) ** (k + l) * math.factorial(k)
 
-    def test_series_sweep_kernel_calls_match_series_pair(self, monkeypatch):
+    def test_series_sweep_kernel_calls_match_to_3f2(self, monkeypatch):
         # The sweep takes the truncation index and the lower-parameter guard
         # once per block of n.  On every mapped tuple its kernel call must
-        # still be the one `_series_pair` makes, through `_truncation_index`
-        # and `_check_lower`, for the parameters of `to_3f2`.
+        # still be the truncation index and the integer upper and lower
+        # parameters of `to_3f2`.
         from collections import Counter
 
         calls = []
@@ -524,14 +535,15 @@ class TestIntegerCores:
         monkeypatch.setattr(hypergeom, "_horner",
                             lambda *args: calls.append(args) or kernel(*args))
         assert series_route_verify(self.BOUND).ok
-        swept = Counter(calls)
-        calls.clear()
+        expected = []
         for p in admissible_tuples(self.BOUND):
             if p.n + p.l - 2 * p.k >= 0:
                 spec, _ = to_3f2(p)
-                hypergeom._series_pair(spec.upper, spec.lower, spec.argument)
-        assert len(calls) == hypergeom.series_tuple_count(self.BOUND)
-        assert swept == Counter(calls)
+                parameters = spec.upper + spec.lower
+                assert all(x.denominator == 1 for x in parameters)
+                expected.append((spec.truncation_index, *map(int, parameters)))
+        assert len(expected) == hypergeom.series_tuple_count(self.BOUND)
+        assert Counter(calls) == Counter(expected)
 
     def test_series_cores_and_sweep_match_to_3f2_and_eval(self):
         count, failures = 0, []
@@ -543,7 +555,6 @@ class TestIntegerCores:
                 continue
             spec, prefactor = to_3f2(p)
             series = eval_3f2_terminating(spec)
-            assert Fraction(*hypergeom._series_pair(spec.upper, spec.lower, 1)) == series
             count += 1
             if prefactor * series != (-1) ** (p.k + p.l):
                 failures.append(t)

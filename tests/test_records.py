@@ -113,6 +113,16 @@ def test_deep_copy_gives_an_equal_record(record):
     assert duplicate == record and hash(duplicate) == hash(record)
 
 
+def test_an_edited_pickle_is_validated_at_every_protocol():
+    # KMParams(2, 0, 3, 4) with k edited to 5, past min(m, n)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        data = pickle.dumps(KMParams(2, 0, 3, 4), protocol)
+        two, five = (b"I2\n", b"I5\n") if protocol == 0 else (b"K\x02", b"K\x05")
+        assert data.count(two) == 1, protocol
+        with pytest.raises(ValueError, match=re.escape("got k=5, l=0, m=3, n=4")):
+            pickle.loads(data.replace(two, five))
+
+
 def test_cached_properties_survive_a_round_trip():
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         matrix, module, form = (

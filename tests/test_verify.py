@@ -355,6 +355,38 @@ class TestPlan:
             + [(paired, verify._pair, (m, n)) for m in range(3) for n in range(3)]
         )
 
+    @pytest.mark.parametrize("entry, args", [
+        (verify._sweep, (1, verify.SUITES)), (verify_all, (1,)), (verify_star, (1,)),
+        (sweep_relations, (1,)), (sweep_star_forms, (1,)), (sweep_decomposition, (1,)),
+        (sweep_singular_vectors, (1,)), (sweep_x_power, (1,)),
+        (sweep_karlsson_minton, (1,)), (sweep_series_route, (1,)),
+        (sweep_omega_signs, (1,)),
+    ], ids=lambda value: getattr(value, "__name__", ""))
+    def test_defaults_are_one_worker_and_q_r_one(self, monkeypatch, entry, args):
+        # called with a bound alone, each entry point maps on one worker,
+        # and every q and r it plans or passes to a form or ω call is 1
+        workers, constants = [], []
+
+        def serial_map(fn, tasks, jobs):
+            workers.append(jobs)
+            for task in tasks:
+                # _local_checks(name, bound, q, r, corrupt), _pair((m, n), q, r, names)
+                local = task.run.func is verify._local_checks
+                constants.extend(task.run.args[2:4] if local else task.run.args[1:3])
+            return [fn(task) for task in tasks]
+
+        monkeypatch.setattr(verify, "parallel_map", serial_map)
+        for name, skip in (("canonical_form", 1), ("tensor_of_canonical_forms", 2),
+                           ("check_sign_alternation", 2)):
+            def recorded(*call, fn=getattr(verify, name), skip=skip):
+                constants.extend(call[skip:])
+                return fn(*call)
+
+            monkeypatch.setattr(verify, name, recorded)
+        entry(*args)
+        assert workers == [1]
+        assert constants and all(c == 1 for c in constants)
+
 
 class TestCoverage:
     """A suite whose counted checks differ from the closed-form count of
