@@ -21,15 +21,16 @@ identity is homogeneous and linear in the Gram matrix, so it holds for a
 nonzero multiple exactly when it holds for the matrix itself, and rank does
 not change under a nonzero scale.  The integer multiple keeps the checks
 out of `Fraction` arithmetic: a tensor Gram matrix q·r·P, with P the
-anti-diagonal permutation matrix, becomes ±P.  `BilinearForm.integer_gram`
-computes that multiple once per form, with its scale c (gram = c·P), and
-`evaluate` sums over it in integers and multiplies by c once.
+anti-diagonal permutation matrix, becomes ±P.  `evaluate` keeps its sum in
+integers too, one sum per denominator of the Gram entries.  A form holds
+only its module and its Gram matrix; neither route caches anything on it.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import compress
 from typing import NamedTuple, Optional
 
@@ -46,20 +47,17 @@ from .rationals import Scalar
 from .records import frozen
 
 
-class _BilinearFormFields(NamedTuple):
-    module: WeightModule
-    gram: ExactMatrix
-
-
 @frozen
-class BilinearForm(_BilinearFormFields):
+class BilinearForm(NamedTuple):
     """A symmetric Gram matrix attached to a module's basis.
 
     Symmetry is enforced at construction; nondegeneracy is not, so that
     degenerate or otherwise broken forms can be fed to `is_star_form` in
-    negative tests.  The class has no ``__slots__``, so that the cached
-    `integer_gram` has an instance ``__dict__`` to live in.
+    negative tests.
     """
+
+    module: WeightModule
+    gram: ExactMatrix
 
     def _check(self) -> None:
         module, gram = self
@@ -68,18 +66,6 @@ class BilinearForm(_BilinearFormFields):
             raise ValueError(f"gram matrix must be {d}x{d} for {module.label}")
         if gram != gram.transpose:
             raise ValueError("gram matrix must be symmetric")
-
-    @cached_property
-    def integer_gram(self) -> tuple[Scalar, ExactMatrix]:
-        """(c, P) with gram = c·P and P = `primitive_integer(gram)`.
-
-        c is 1 for the zero matrix.
-        """
-        p = primitive_integer(self.gram)
-        for row, prow in zip(self.gram.nonzero_rows, p.nonzero_rows):
-            if row:
-                return Fraction(row[0][1], prow[0][1]), p
-        return 1, p
 
 
 @frozen
@@ -114,15 +100,15 @@ def is_star_form(module: WeightModule, form: BilinearForm) -> StarFormReport:
     In Gram-matrix terms the identities read Gᵀ·gram = gram·G for G = actX,
     actY and Gᵀ·gram = -gram·G for actH.  Each is compared in every entry,
     row by row (`linalg.product_identity_holds`), on the primitive integer
-    multiple of the Gram matrix, and rank is taken of that multiple too:
-    both sides of each identity scale by the same positive factor, and a
-    nonzero scale keeps the rank.
+    multiple of the Gram matrix, computed here once per call, and rank is
+    taken of that multiple too: both sides of each identity scale by the
+    same positive factor, and a nonzero scale keeps the rank.
     """
     if form.module is not module and form.module != module:
         raise ValueError(
             f"form lives on {form.module.label}, not {module.label}"
         )
-    gram = form.integer_gram[1]
+    gram = primitive_integer(form.gram)
     zero = zeros(gram.rows, gram.cols)
     x, y, h = module.actX, module.actY, module.actH
     failures = []
@@ -194,24 +180,23 @@ def tensor_of_canonical_forms(m: int, n: int, q: Scalar, r: Scalar) -> BilinearF
 def evaluate(form: BilinearForm, u: ModuleVector, v: ModuleVector) -> Fraction:
     """uᵀ·gram·v, exactly.
 
-    Sums u_i·v_j·P_ij over the nonzero u_i and the stored entries of row i
-    of the primitive integer Gram matrix P (`BilinearForm.integer_gram`),
-    so a pair of vectors in one weight space costs that space's Gram
-    entries, not the module dimension, and integer vectors sum in
-    integers.  The sum is multiplied by the scale c, gram = c·P, once.
+    Sums u_i·v_j·g_ij over the nonzero u_i and the stored entries of row i
+    of the Gram matrix, so a pair of vectors in one weight space costs that
+    space's Gram entries, not the module dimension.  Each term's numerator
+    part u_i·v_j·numerator(g_ij) joins the sum kept for denominator(g_ij),
+    so integer vectors sum in integers; the sums become one `Fraction`.
     """
     for w in (u, v):
         if w.module is not form.module and w.module != form.module:
             raise ValueError(
                 f"vector lives in {w.module.label}, not {form.module.label}"
             )
-    c, gram = form.integer_gram
-    rows, x, y = gram.nonzero_rows, u.coords, v.coords
-    total: Scalar = 0
+    rows, x, y = form.gram.nonzero_rows, u.coords, v.coords
+    sums: defaultdict[int, Scalar] = defaultdict(int)
     for i in compress(range(len(x)), x):
         xi = x[i]
         for j, g in rows[i]:
             yj = y[j]
             if yj:
-                total += xi * yj * g
-    return Fraction(c * total)
+                sums[g.denominator] += xi * yj * g.numerator
+    return sum((Fraction(s, d) for d, s in sums.items()), Fraction(0))

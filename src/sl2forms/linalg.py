@@ -117,7 +117,11 @@ class ExactMatrix:
     ) -> "ExactMatrix":
         """Build from per-row (column, value) pairs, at most one per column,
         in any column order; zero values are dropped."""
-        stored = tuple(_canonical(dict(row)) for row in nonzero_rows)
+        given = [tuple(row) for row in nonzero_rows]
+        for i, row in enumerate(given):
+            if len({j for j, _ in row}) != len(row):
+                raise ValueError(f"row {i} has two entries in one column")
+        stored = tuple(_canonical(dict(row)) for row in given)
         if len(stored) != rows:
             raise ValueError(f"expected {rows} rows, got {len(stored)}")
         if any(not 0 <= j < cols for row in stored for j, _ in row):

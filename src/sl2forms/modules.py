@@ -26,7 +26,7 @@ verified result rather than an assumption.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .linalg import ExactMatrix, kron_sum, mat_vec, product_identity_holds
@@ -36,7 +36,15 @@ from .records import frozen
 GENERATORS = ("X", "Y", "H")
 
 
-class _WeightModuleFields(NamedTuple):
+@frozen
+class WeightModule(NamedTuple):
+    """A basis-explicit module: weights plus exact matrices for X, Y, H.
+
+    Construction validates shapes only.  The bracket relations are the job
+    of `check_relations`, so deliberately corrupted modules can be built
+    for negative tests.
+    """
+
     label: str
     dim: int
     weights: tuple[int, ...]
@@ -44,17 +52,6 @@ class _WeightModuleFields(NamedTuple):
     actX: ExactMatrix
     actY: ExactMatrix
     actH: ExactMatrix
-
-
-@frozen
-class WeightModule(_WeightModuleFields):
-    """A basis-explicit module: weights plus exact matrices for X, Y, H.
-
-    Construction validates shapes only.  The bracket relations are the job
-    of `check_relations`, so deliberately corrupted modules can be built
-    for negative tests.  The class has no ``__slots__``, so that the cached
-    `weight_positions` has an instance ``__dict__`` to live in.
-    """
 
     def _check(self) -> None:
         _, dim, weights, basis_names, actX, actY, actH = self
@@ -65,15 +62,6 @@ class WeightModule(_WeightModuleFields):
         for g, mat in zip(GENERATORS, (actX, actY, actH)):
             if mat.rows != dim or mat.cols != dim:
                 raise ValueError(f"act{g} must be {dim}x{dim}")
-
-    @cached_property
-    def weight_positions(self) -> dict[int, tuple[int, ...]]:
-        """Weight -> positions (in basis order) of the basis vectors of that
-        weight, built on first use and kept with the module."""
-        positions: dict[int, list[int]] = {}
-        for j, w in enumerate(self.weights):
-            positions.setdefault(w, []).append(j)
-        return {w: tuple(js) for w, js in positions.items()}
 
     def generator(self, g: str) -> ExactMatrix:
         if g == "X":
@@ -213,12 +201,9 @@ def tensor_of_irreducibles(m: int, n: int) -> WeightModule:
 
 
 def weight_space_indices(module: WeightModule, w: int) -> tuple[int, ...]:
-    """Positions (in basis order) of the basis vectors of weight w.
-
-    Read from the module's `WeightModule.weight_positions` map, so the
-    weights are scanned once per module, not once per call.
-    """
-    return module.weight_positions.get(w, ())
+    """Positions (in basis order) of the basis vectors of weight w, by a
+    scan of the module's weights."""
+    return tuple(j for j, wt in enumerate(module.weights) if wt == w)
 
 
 def decompose(module: WeightModule) -> DecompositionReport:
@@ -253,12 +238,20 @@ def perturbed(
     """Copy of the module with one generator matrix entry bumped by delta.
 
     Used as a corruption oracle: the result should fail check_relations
-    (and downstream verifications) whenever delta breaks a bracket.
+    (and downstream verifications) whenever delta breaks a bracket.  Only
+    the bumped row is rebuilt; an entry that cancels to zero is dropped.
     """
     mat = module.generator(g)
-    grid = [list(r) for r in mat.entries]
-    grid[row][col] += delta
-    bumped = ExactMatrix.from_rows(grid)
+    if not (0 <= row < mat.rows and 0 <= col < mat.cols):
+        raise IndexError(
+            f"entry ({row}, {col}) is outside the {mat.rows}x{mat.cols} "
+            f"act{g} of {module.label}"
+        )
+    rows = list(mat.nonzero_rows)
+    entries = dict(rows[row])
+    entries[col] = entries.get(col, 0) + delta
+    (rows[row],) = ExactMatrix.from_sparse(1, mat.cols, [entries.items()]).nonzero_rows
+    bumped = ExactMatrix._stored(mat.rows, mat.cols, tuple(rows))
     return module._replace(**{f"act{g}": bumped, "label": f"{module.label}~corrupt"})
 
 

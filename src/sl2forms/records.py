@@ -1,19 +1,17 @@
 """What the package's immutable records share.
 
 A record is one `typing.NamedTuple` declaration under `frozen`: its fields
-and, optionally, a `_check(self)` that raises on invalid fields.  A
-NamedTuple class body may not define `__new__`, so `frozen` installs one
-that runs `_check` on the built tuple, on every construction path: calls,
-`_make`, `_replace`, deep copy and pickle at every protocol (a record
-reduces to its class and its fields, so a copy is rebuilt by a call and
-its cached properties are computed afresh).  A record subclasses its field
-tuple only to cache a `functools.cached_property`, which needs the instance
-`__dict__` that a NamedTuple's `__slots__ = ()` rules out.  `frozen` also
-refuses tuple arithmetic (`+` and `*` raise `TypeError`) and every
-attribute write or delete (`AttributeError`; a cached property still fills
-in, since it writes the instance `__dict__` directly).  `ExactMatrix` is a
-plain class.  No record is a dataclass: importing `dataclasses` loads
-`inspect`, `ast` and `dis`, which no subcommand otherwise needs.
+and, optionally, a `_check(self)` that raises on invalid fields.  A record
+holds only its fields.  A NamedTuple class body may not define `__new__`,
+so `frozen` installs one that runs `_check` on the built tuple, on every
+construction path: calls, `_make`, `_replace`, deep copy and pickle at
+every protocol (a record reduces to its class and its fields, so a copy is
+rebuilt by a call).  `frozen` also refuses tuple arithmetic (`+` and `*`
+raise `TypeError`).  A NamedTuple has no instance `__dict__`, so every
+field write, field delete and new attribute already raises
+`AttributeError`.  `ExactMatrix` is a plain class that installs
+`read_only` itself.  No record is a dataclass: importing `dataclasses`
+loads `inspect`, `ast` and `dis`, which no subcommand otherwise needs.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ def _reduce(self):
 
 def frozen(cls: type) -> type:
     """Class decorator for a NamedTuple record, as described above."""
-    cls.__setattr__ = cls.__delattr__ = read_only
     cls.__add__ = cls.__radd__ = cls.__mul__ = cls.__rmul__ = _no_arithmetic
     cls._make = classmethod(_make)
     cls.__reduce__ = _reduce

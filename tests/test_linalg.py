@@ -552,6 +552,8 @@ class TestCanonicalStorage:
             ExactMatrix.from_sparse(1, 2, [[(2, 1)]])
         with pytest.raises(ValueError):
             ExactMatrix.from_sparse(2, 2, [[(0, 1)]])
+        with pytest.raises(ValueError, match="row 1 has two entries in one column"):
+            ExactMatrix.from_sparse(2, 2, [[(1, 3)], [(0, 1), (0, 2)]])
 
 
 class TestPrimitiveInteger:
