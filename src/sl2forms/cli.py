@@ -267,17 +267,14 @@ def cmd_singular_vector(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit_json({
             "m": m, "n": n, "k": k, "s": s,
-            "terms": [
-                [name, str(c)]
-                for name, c in zip(module.basis_names, b.coords) if c
-            ],
+            "terms": [[module.basis_names[j], str(c)] for j, c in b.terms],
             "y_annihilates": annihilated,
             "null_space_agrees": agrees,
         })
     else:
         label = "b_0" if s == 0 else f"b_{{-{s}}}"
         mark = lambda flag: "✓" if flag else "✗"
-        print(f"{label} = {format_vector(module, b.coords)}; "
+        print(f"{label} = {format_vector(module, b.terms)}; "
               f"Yb = 0 {mark(annihilated)}; null-space route {mark(agrees)}")
     return 0 if annihilated and agrees else 1
 

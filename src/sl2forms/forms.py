@@ -31,7 +31,6 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
 from typing import NamedTuple, Optional
 
 from .linalg import (
@@ -42,7 +41,13 @@ from .linalg import (
     rank,
     zeros,
 )
-from .modules import ModuleVector, WeightModule, irreducible, tensor_of_irreducibles
+from .modules import (
+    ModuleVector,
+    WeightModule,
+    irreducible,
+    require_module,
+    tensor_of_irreducibles,
+)
 from .rationals import Scalar
 from .records import frozen
 
@@ -104,10 +109,7 @@ def is_star_form(module: WeightModule, form: BilinearForm) -> StarFormReport:
     taken of that multiple too: both sides of each identity scale by the
     same positive factor, and a nonzero scale keeps the rank.
     """
-    if form.module is not module and form.module != module:
-        raise ValueError(
-            f"form lives on {form.module.label}, not {module.label}"
-        )
+    require_module(form, module, "form lives on")
     gram = primitive_integer(form.gram)
     zero = zeros(gram.rows, gram.cols)
     x, y, h = module.actX, module.actY, module.actH
@@ -180,23 +182,19 @@ def tensor_of_canonical_forms(m: int, n: int, q: Scalar, r: Scalar) -> BilinearF
 def evaluate(form: BilinearForm, u: ModuleVector, v: ModuleVector) -> Fraction:
     """uᵀ·gram·v, exactly.
 
-    Sums u_i·v_j·g_ij over the nonzero u_i and the stored entries of row i
+    Sums u_i·v_j·g_ij over u's terms u_i and the stored entries of row i
     of the Gram matrix, so a pair of vectors in one weight space costs that
     space's Gram entries, not the module dimension.  Each term's numerator
     part u_i·v_j·numerator(g_ij) joins the sum kept for denominator(g_ij),
     so integer vectors sum in integers; the sums become one `Fraction`.
     """
     for w in (u, v):
-        if w.module is not form.module and w.module != form.module:
-            raise ValueError(
-                f"vector lives in {w.module.label}, not {form.module.label}"
-            )
-    rows, x, y = form.gram.nonzero_rows, u.coords, v.coords
+        require_module(w, form.module, "vector lives in")
+    rows, y = form.gram.nonzero_rows, dict(v.terms)
     sums: defaultdict[int, Scalar] = defaultdict(int)
-    for i in compress(range(len(x)), x):
-        xi = x[i]
+    for i, xi in u.terms:
         for j, g in rows[i]:
-            yj = y[j]
+            yj = y.get(j)
             if yj:
                 sums[g.denominator] += xi * yj * g.numerator
     return sum((Fraction(s, d) for d, s in sums.items()), Fraction(0))

@@ -12,9 +12,12 @@ rows directly.  `ExactMatrix.entries` is a dense view rebuilt on demand.
 `primitive_integer` scales a matrix to coprime integers, for checks that
 are unchanged by a positive scale and cheaper without `Fraction`s.
 
-`mat_vec` and `apply_power` walk the columns of a matrix (rows of its
-cached transpose) at the vector's nonzero indices only, so a vector in one
-weight space costs that space's nonzeros, not the matrix dimension.
+A vector is held in the same format as a matrix row (`Row`): its nonzero
+(index, value) pairs in increasing index order.  `mat_vec` and
+`apply_power` take and return that format.  Each step walks the columns
+of the matrix (rows of its cached transpose) at the vector's indices
+only, so a vector in one weight space costs that space's nonzeros, not
+the matrix dimension.
 
 `product_identity_holds` checks an identity a@b - s·(c@d) = t·e in full,
 one row at a time: both products of a row and the row of e go into one
@@ -36,7 +39,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
 from typing import Iterable, Sequence
 
 from .rationals import Scalar
@@ -314,60 +316,52 @@ def product_identity_holds(
     return True
 
 
-def mat_vec(a: ExactMatrix, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    """Exact product A*v.
+def _columns(a: ExactMatrix, v: Row) -> tuple[Row, ...]:
+    """A's columns (rows of its cached transpose), once v's indices are checked."""
+    for j, _ in v:
+        if not 0 <= j < a.cols:
+            raise ValueError(f"vector index {j} is outside the {a.cols} columns")
+    return a.transpose.nonzero_rows
 
-    Walks only the columns of A (rows of the cached `ExactMatrix.transpose`)
-    at v's nonzero indices, so a vector confined to one weight space costs
-    that space's nonzeros, not all of A's.  Each entry sums its terms in
-    increasing column order, as a walk along A's rows would.
+
+def _walk(columns: Sequence[Row], v: Iterable[tuple[int, Scalar]]) -> dict[int, Scalar]:
+    """One product step: A·v as a map from index to value, summed over the
+    columns of A at v's nonzero values.  An entry that cancels to zero
+    stays in the map."""
+    image: dict[int, Scalar] = {}
+    get = image.get
+    for j, x in v:
+        if x:
+            for i, entry in columns[j]:
+                image[i] = get(i, 0) + entry * x
+    return image
+
+
+def mat_vec(a: ExactMatrix, v: Row) -> Row:
+    """Exact product A·v of any matrix and a vector in the `Row` format.
+
+    Walks only the columns of A at v's indices, so a vector confined to
+    one weight space costs that space's nonzeros, not all of A's.  Each
+    entry sums its terms in increasing column order, as a walk along A's
+    rows would.
     """
-    if len(v) != a.cols:
-        raise ValueError(f"vector of length {len(v)} does not match {a.cols} columns")
-    columns = a.transpose.nonzero_rows
-    out: list[Scalar] = [0] * a.rows
-    for j in compress(range(len(v)), v):
-        x = v[j]
-        for i, entry in columns[j]:
-            out[i] += entry * x
-    return tuple(out)
+    return _canonical(_walk(_columns(a, v), v))
 
 
-def apply_power(a: ExactMatrix, v: Sequence[Scalar], s: int) -> tuple[Scalar, ...]:
-    """A applied s >= 0 times to v; s = 0 returns v unchanged.
-
-    Between steps the vector is held as a map from index to value, and each
-    step walks only the columns of A at its nonzero values, so a vector
-    confined to one weight space costs that space's nonzeros, not all of
-    A's.  A step's map becomes the next step's as it is: an entry that
-    cancelled to zero stays in it and is skipped, and zeros are dropped
-    once, when the result is made dense.  So every entry sums the same
-    terms in the same order as a walk over the nonzeros alone.
-    """
+def apply_power(a: ExactMatrix, v: Row, s: int) -> Row:
+    """A applied s >= 0 times to a vector in the `Row` format; s = 0 returns
+    v as it is.  A step's map becomes the next step's as it is: an entry
+    that cancelled to zero stays in it and is skipped, and zeros are
+    dropped once, at the end."""
     if a.rows != a.cols:
         raise ValueError("apply_power needs a square matrix")
     if s < 0:
         raise ValueError(f"power must be nonnegative (got {s})")
-    out = tuple(v)
-    if len(out) != a.cols:
-        raise ValueError(f"vector of length {len(out)} does not match {a.cols} columns")
-    if not s:
-        return out
-    columns = a.transpose.nonzero_rows
-    support = {j: out[j] for j in compress(range(len(out)), out)}
+    columns = _columns(a, v)
+    image = dict(v)
     for _ in range(s):
-        image: dict[int, Scalar] = {}
-        get = image.get
-        for j, x in support.items():
-            if x:
-                for i, entry in columns[j]:
-                    image[i] = get(i, 0) + entry * x
-        support = image
-    dense: list[Scalar] = [0] * a.rows
-    for i, y in support.items():
-        if y:
-            dense[i] = y
-    return tuple(dense)
+        image = _walk(columns, image.items())
+    return _canonical(image)
 
 
 def _content(values: Sequence[Scalar]) -> tuple[int, int]:

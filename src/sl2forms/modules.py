@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
-from .linalg import ExactMatrix, kron_sum, mat_vec, product_identity_holds
+from .linalg import ExactMatrix, Row, kron_sum, mat_vec, product_identity_holds
 from .rationals import Scalar
 from .records import frozen
 
@@ -75,21 +75,30 @@ class WeightModule(NamedTuple):
 
 @frozen
 class ModuleVector(NamedTuple):
-    """Exact coordinate vector in a module's basis."""
+    """Exact vector in a module's basis, held as its nonzero terms: the
+    (basis index, value) pairs in increasing index order, the `linalg.Row`
+    format of a matrix row."""
 
     module: WeightModule
-    coords: tuple[Scalar, ...]
+    terms: Row
 
     def _check(self) -> None:
-        module, coords = self
-        if len(coords) != module.dim:
+        # one pass: a sweep builds thousands of vectors
+        module, terms = self
+        last = -1
+        for j, v in terms:
+            if j <= last:
+                raise ValueError(f"term index {j} is out of order: indices rise from 0")
+            if not v:
+                raise ValueError(f"term {j} is zero: only nonzero terms are held")
+            last = j
+        if last >= module.dim:
             raise ValueError(
-                f"vector of length {len(coords)} does not live in "
-                f"{module.label} (dim {module.dim})"
+                f"term index {last} does not live in {module.label} (dim {module.dim})"
             )
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not self.terms
 
 
 @frozen
@@ -163,13 +172,17 @@ def check_relations(module: WeightModule) -> RelationReport:
     return RelationReport(label=module.label, failures=tuple(failures))
 
 
+def require_module(x, module: WeightModule, lives: str) -> None:
+    """Raise unless x (a vector or a form) belongs to `module`; `lives`
+    begins the message, as in "vector lives in"."""
+    if x.module is not module and x.module != module:
+        raise ValueError(f"{lives} {x.module.label}, not {module.label}")
+
+
 def act(module: WeightModule, g: str, v: ModuleVector) -> ModuleVector:
     """Apply a generator (tag "X", "Y" or "H") to a vector of this module."""
-    if v.module is not module and v.module != module:
-        raise ValueError(
-            f"vector lives in {v.module.label}, not {module.label}"
-        )
-    return ModuleVector(module, mat_vec(module.generator(g), v.coords))
+    require_module(v, module, "vector lives in")
+    return ModuleVector(module, mat_vec(module.generator(g), v.terms))
 
 
 def tensor_product(a: WeightModule, b: WeightModule) -> WeightModule:
@@ -255,15 +268,14 @@ def perturbed(
     return module._replace(**{f"act{g}": bumped, "label": f"{module.label}~corrupt"})
 
 
-def format_vector(module: WeightModule, coords: Sequence[Scalar]) -> str:
-    """Render a coordinate vector as a signed combination of basis names.
+def format_vector(module: WeightModule, terms: Row) -> str:
+    """Render a vector's terms as a signed combination of basis names.
 
     Unit coefficients are suppressed: ``e_{-1}⊗ẽ_{1} - e_{1}⊗ẽ_{-1}``.
     """
     pieces = []
-    for name, c in zip(module.basis_names, coords):
-        if not c:
-            continue
+    for j, c in terms:
+        name = module.basis_names[j]
         mag = str(abs(c))
         body = name if mag == "1" else f"{mag}·{name}"
         if not pieces:

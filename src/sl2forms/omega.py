@@ -13,7 +13,7 @@ value
 Everything is computed twice, by routes that share no algebra:
 
 * b: closed form vs. exact null space of the restricted Y matrix;
-* X^{s_k} b: closed form vs. s_k-fold sparse matrix application;
+* X^{s_k} b: closed-form terms vs. s_k-fold sparse matrix application;
 * ω_k(b, b): Gram evaluation of the brute vectors vs. the closed form.
 
 Route disagreement raises `InconsistencyError`; agreement is the point.
@@ -98,12 +98,10 @@ def singular_weight(m: int, n: int, k: int) -> int:
 def b_closed_form(m: int, n: int, k: int) -> ModuleVector:
     """Σ_{i=0}^{k} (-1)^i e_{-m+2i}⊗ẽ_{-n+2(k-i)}, leading coefficient +1."""
     _check_k(m, n, k)
-    module = tensor_of_irreducibles(m, n)
-    coords = [0] * module.dim
-    for i in range(k + 1):
-        # e_{-m+2i} sits at position i, ẽ_{-n+2(k-i)} at position k-i.
-        coords[i * (n + 1) + (k - i)] = (-1) ** i
-    return ModuleVector(module, tuple(coords))
+    # e_{-m+2i} sits at position i, ẽ_{-n+2(k-i)} at position k-i, so the
+    # index i·(n+1) + k-i increases with i.
+    terms = tuple((i * (n + 1) + (k - i), (-1) ** i) for i in range(k + 1))
+    return ModuleVector(tensor_of_irreducibles(m, n), terms)
 
 
 def y_kernel_singular(m: int, n: int, k: int) -> ModuleVector:
@@ -111,8 +109,8 @@ def y_kernel_singular(m: int, n: int, k: int) -> ModuleVector:
 
     Restricts actY of V_m⊗V_n to the (k+1)-dimensional weight space,
     keeping only the rows those columns reach, demands a one-dimensional
-    kernel, and embeds the normalized basis vector (first coordinate 1)
-    back into the full module.
+    kernel, and maps the normalized basis vector (first coordinate 1) onto
+    the module's terms at the weight space's indices.
     """
     _check_k(m, n, k)
     module = tensor_of_irreducibles(m, n)
@@ -132,10 +130,7 @@ def y_kernel_singular(m: int, n: int, k: int) -> ModuleVector:
             f"Y-kernel of the weight-{singular_weight(m, n, k)} space of "
             f"{module.label} has dimension {len(kernel)}, expected 1"
         )
-    coords: list[Scalar] = [0] * module.dim
-    for j, v in zip(indices, kernel[0]):
-        coords[j] = v
-    return ModuleVector(module, tuple(coords))
+    return ModuleVector(module, tuple((j, v) for j, v in zip(indices, kernel[0]) if v))
 
 
 # Holds every k of one pair up to V₄₀⊗V₄₀, the largest pair of `verify-all`,
@@ -150,7 +145,7 @@ def x_power_b_brute(m: int, n: int, k: int) -> ModuleVector:
     module = tensor_of_irreducibles(m, n)
     b = b_closed_form(m, n, k)
     s = m + n - 2 * k
-    return ModuleVector(module, apply_power(module.actX, b.coords, s))
+    return ModuleVector(module, apply_power(module.actX, b.terms, s))
 
 
 def x_power_b_closed(m: int, n: int, k: int) -> ModuleVector:
@@ -162,20 +157,20 @@ def x_power_b_closed(m: int, n: int, k: int) -> ModuleVector:
     divides (n-k+l)! on the admissible range.
     """
     _check_k(m, n, k)
-    module = tensor_of_irreducibles(m, n)
-    s = m + n - 2 * k
-    s_fact = factorial(s)
-    coords = [0] * module.dim
-    for l in range(k + 1):
-        coeff = (
+    s_fact = factorial(m + n - 2 * k)
+    # e_{m-2l} sits at position m-l, ẽ_{n-2(k-l)} at position n-k+l, so the
+    # index (m-l)·(n+1) + n-k+l increases as l runs down from k.
+    terms = tuple(
+        (
+            (m - l) * (n + 1) + (n - k + l),
             (-1) ** (k + l)
             * s_fact
             * (factorial(m - l) // factorial(k - l))
-            * (factorial(n - k + l) // factorial(l))
+            * (factorial(n - k + l) // factorial(l)),
         )
-        # e_{m-2l} sits at position m-l, ẽ_{n-2(k-l)} at position n-k+l.
-        coords[(m - l) * (n + 1) + (n - k + l)] = coeff
-    return ModuleVector(module, tuple(coords))
+        for l in range(k, -1, -1)
+    )
+    return ModuleVector(tensor_of_irreducibles(m, n), terms)
 
 
 def omega_value(m: int, n: int, k: int, q: Scalar, r: Scalar) -> Fraction:
@@ -199,8 +194,7 @@ def omega_closed(m: int, n: int, k: int, q: Scalar, r: Scalar) -> Fraction:
 
 def omega_table(m: int, n: int, q: Scalar, r: Scalar) -> OmegaReport:
     """Rows k = 0..min(m,n), each computed by both routes and compared."""
-    if m < 0 or n < 0:
-        raise ValueError(f"module labels must be nonnegative (got m={m}, n={n})")
+    _check_k(m, n, 0)
     rows = []
     for k in range(min(m, n) + 1):
         brute = omega_value(m, n, k, q, r)

@@ -44,9 +44,12 @@ def gram_with(gram, changes):
 
 
 def basis_vector(module, j):
-    coords = [0] * module.dim
-    coords[j] = 1
-    return ModuleVector(module, tuple(coords))
+    return ModuleVector(module, ((j, 1),))
+
+
+def vector(module, dense):
+    """The vector of a module with the given dense coordinates."""
+    return ModuleVector(module, tuple((j, x) for j, x in enumerate(dense) if x))
 
 
 class TestCanonicalForm:
@@ -329,7 +332,7 @@ class TestEvaluate:
         e_minus, e_plus = basis_vector(v, 0), basis_vector(v, 1)
         assert evaluate(form, e_minus, e_plus) == 1
         assert evaluate(form, e_plus, e_plus) == 0
-        zero = ModuleVector(v, (0, 0))
+        zero = ModuleVector(v, ())
         assert evaluate(form, zero, e_plus) == 0
 
     @settings(max_examples=30)
@@ -344,19 +347,22 @@ class TestEvaluate:
         coords = st.tuples(
             *[st.integers(min_value=-3, max_value=3) for _ in range(module.dim)]
         )
-        u = ModuleVector(module, data.draw(coords))
-        v = ModuleVector(module, data.draw(coords))
+        u = vector(module, data.draw(coords))
+        v = vector(module, data.draw(coords))
         assert evaluate(form, u, v) == evaluate(form, v, u)
 
     def test_module_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="vector lives in V_2, not V_1"):
             evaluate(canonical_form(1, 1), basis_vector(irreducible(2), 0),
                      basis_vector(irreducible(1), 0))
+        with pytest.raises(ValueError, match="vector lives in V_2, not V_1"):
+            evaluate(canonical_form(1, 1), basis_vector(irreducible(1), 0),
+                     basis_vector(irreducible(2), 0))
 
     def test_identity_gram_is_the_dot_product(self):
         v = irreducible(1)
         form = BilinearForm(v, identity(2))
-        u, w = ModuleVector(v, (1, 2)), ModuleVector(v, (3, Fraction(1, 2)))
+        u, w = vector(v, (1, 2)), vector(v, (3, Fraction(1, 2)))
         assert evaluate(form, u, w) == 4
         assert type(evaluate(form, u, w)) is Fraction
 
@@ -375,10 +381,9 @@ class TestEvaluate:
         )
         form = BilinearForm(module, half + half.transpose)
         coords = st.tuples(*[sparse] * d)
-        u, v = ModuleVector(module, data.draw(coords)), ModuleVector(module, data.draw(coords))
-        expected = sum(
-            (x * y for x, y in zip(u.coords, mat_vec(form.gram, v.coords))), Fraction(0)
-        )
+        u, v = vector(module, data.draw(coords)), vector(module, data.draw(coords))
+        gram_v = dict(mat_vec(form.gram, v.terms))
+        expected = sum((x * gram_v.get(j, 0) for j, x in u.terms), Fraction(0))
         assert evaluate(form, u, v) == expected
 
 
@@ -388,7 +393,7 @@ class TestIntegerGram:
 
     def test_zero_form_evaluates_to_fraction_zero(self):
         module = irreducible(2)
-        u = ModuleVector(module, (1, Fraction(1, 2), -3))
+        u = vector(module, (1, Fraction(1, 2), -3))
         value = evaluate(BilinearForm(module, zeros(3, 3)), u, u)
         assert value == 0 and type(value) is Fraction
 
@@ -410,11 +415,10 @@ class TestIntegerGram:
         gram = (half + half.transpose).scaled(scale)
         form = BilinearForm(module, gram)
         coords = st.tuples(*[st.sampled_from([0, 0, 1, -2, 3, Fraction(1, 3)])] * d)
-        u, v = ModuleVector(module, data.draw(coords)), ModuleVector(module, data.draw(coords))
+        x, y = data.draw(coords), data.draw(coords)
         g = gram.entries
         expected = sum(
-            (u.coords[i] * g[i][j] * v.coords[j] for i in range(d) for j in range(d)),
-            Fraction(0),
+            (x[i] * g[i][j] * y[j] for i in range(d) for j in range(d)), Fraction(0)
         )
-        value = evaluate(form, u, v)
+        value = evaluate(form, vector(module, x), vector(module, y))
         assert value == expected and type(value) is Fraction

@@ -385,7 +385,7 @@ class TestModuleLayerConsistency:
 
         k, l, m, n = p.k, p.l, p.m, p.n
         brute = x_power_b_brute(m, n, k)
-        coeff = brute.coords[(m - l) * (n + 1) + (n - k + l)]
+        coeff = dict(brute.terms)[(m - l) * (n + 1) + (n - k + l)]
         scale = Fraction(
             factorial(m + n - 2 * k) * factorial(m - l) * factorial(n - k + l),
             factorial(l) * factorial(k - l),

@@ -113,6 +113,12 @@ def matrix_vector_cases(draw, max_dim: int = 8):
     return a, v
 
 
+def as_terms(dense) -> tuple:
+    """A dense vector's nonzero (index, value) pairs, the `Row` format that
+    `mat_vec` and `apply_power` take and return."""
+    return tuple((j, x) for j, x in enumerate(dense) if x)
+
+
 def row_walk_mat_vec(a: ExactMatrix, v) -> tuple:
     """A*v by a walk along every stored row, skipping zero vector entries.
     Oracle only."""
@@ -372,46 +378,54 @@ class TestArithmetic:
         a = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
         v = (Fraction(1, 2), 0, -1)
         col = a @ ExactMatrix.from_rows([[x] for x in v])
-        assert mat_vec(a, v) == tuple(row[0] for row in col.entries)
+        assert mat_vec(a, as_terms(v)) == as_terms(row[0] for row in col.entries)
 
     def test_apply_power(self):
         shift = ExactMatrix.from_rows([[0, 0], [1, 0]])
-        assert apply_power(shift, (1, 0), 0) == (1, 0)
-        assert apply_power(shift, (1, 0), 1) == (0, 1)
-        assert apply_power(shift, (1, 0), 2) == (0, 0)
+        assert apply_power(shift, ((0, 1),), 0) == ((0, 1),)
+        assert apply_power(shift, ((0, 1),), 1) == ((1, 1),)
+        assert apply_power(shift, ((0, 1),), 2) == ()
         with pytest.raises(ValueError):
-            apply_power(shift, (1, 0), -1)
+            apply_power(shift, ((0, 1),), -1)
 
     def test_apply_power_drops_cancelled_entries(self):
         # Av = (0, 1, 0): the first entry cancels, then comes back at A²v
         a = ExactMatrix.from_rows([[1, -1, 0], [0, 1, 1], [0, 0, 1]])
-        assert apply_power(a, (1, 1, 0), 1) == (0, 1, 0)
-        assert apply_power(a, (1, 1, 0), 2) == (-1, 1, 0)
+        assert apply_power(a, ((0, 1), (1, 1)), 1) == ((1, 1),)
+        assert apply_power(a, ((0, 1), (1, 1)), 2) == ((0, -1), (1, 1))
         ones = ExactMatrix.from_rows([[1, -1], [1, -1]])
-        assert apply_power(ones, (Fraction(1, 2), Fraction(1, 2)), 3) == (0, 0)
+        half = Fraction(1, 2)
+        assert apply_power(ones, ((0, half), (1, half)), 3) == ()
 
     @settings(max_examples=60)
     @given(sparse_power_cases())
     def test_apply_power_matches_repeated_mat_vec(self, case):
         a, v, s = case
-        expected = tuple(v)
+        expected = as_terms(v)
         for _ in range(s):
             expected = mat_vec(a, expected)
-        assert apply_power(a, v, s) == expected
+        assert apply_power(a, as_terms(v), s) == expected
 
     @settings(max_examples=150)
     @given(matrix_vector_cases())
     def test_mat_vec_matches_row_walk(self, case):
         # the column walk adds each entry's terms in the row walk's order,
-        # so even the types of cancelled entries agree
+        # so the types of the values agree too
         a, v = case
-        got, expected = mat_vec(a, v), row_walk_mat_vec(a, v)
+        got, expected = mat_vec(a, as_terms(v)), as_terms(row_walk_mat_vec(a, v))
         assert got == expected
-        assert list(map(type, got)) == list(map(type, expected))
+        assert [type(x) for _, x in got] == [type(x) for _, x in expected]
 
     def test_mat_vec_length_mismatch(self):
-        with pytest.raises(ValueError):
-            mat_vec(identity(2), (1, 2, 3))
+        # a vector with an index past the matrix's columns is refused
+        for bad in (((2, 3),), ((0, 1), (2, 3)), ((-1, 1),)):
+            with pytest.raises(ValueError, match="outside the 2 columns"):
+                mat_vec(identity(2), bad)
+            with pytest.raises(ValueError, match="outside the 2 columns"):
+                apply_power(identity(2), bad, 1)
+        # a matrix need not be square for mat_vec
+        wide = ExactMatrix.from_rows([[1, 2, 3]])
+        assert mat_vec(wide, ((2, 1),)) == ((0, 3),)
 
     def test_kron_block_layout(self):
         a = ExactMatrix.from_rows([[1, 2], [3, 4]])
@@ -700,13 +714,13 @@ class TestRankAndKernel:
         (v,) = null_space(a)
         assert v == (1, Fraction(-56, 69), Fraction(-28, 23), Fraction(20, 23))
         assert all(type(x) is Fraction for x in v)
-        assert mat_vec(a, v) == (0, 0, 0)
+        assert mat_vec(a, as_terms(v)) == ()
 
     def test_fractional_entries(self):
         a = ExactMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)]])
         (v,) = null_space(a)
         assert v[0] == 1
-        assert mat_vec(a, v) == (0,)
+        assert mat_vec(a, as_terms(v)) == ()
 
     @settings(max_examples=60)
     @given(matrices())
@@ -718,9 +732,8 @@ class TestRankAndKernel:
     def test_kernel_vectors_are_killed(self, a):
         basis = null_space(a)
         assert len(basis) == a.cols - rank(a)
-        zero = tuple([0] * a.rows)
         for v in basis:
-            assert mat_vec(a, v) == zero
+            assert mat_vec(a, as_terms(v)) == ()
             assert next(x for x in v if x) == 1
 
     @settings(max_examples=200)

@@ -30,9 +30,7 @@ small_m = st.integers(min_value=0, max_value=8)
 
 
 def basis_vector(module, j):
-    coords = [0] * module.dim
-    coords[j] = 1
-    return ModuleVector(module, tuple(coords))
+    return ModuleVector(module, ((j, 1),))
 
 
 def broken_brackets(module) -> tuple[str, ...]:
@@ -79,10 +77,10 @@ class TestIrreducible:
     def test_m2_actions(self):
         v = irreducible(2)
         e = [basis_vector(v, j) for j in range(3)]
-        assert act(v, "X", e[0]).coords == (0, 2, 0)
-        assert act(v, "X", e[1]).coords == (0, 0, 2)
+        assert act(v, "X", e[0]).terms == ((1, 2),)
+        assert act(v, "X", e[1]).terms == ((2, 2),)
         assert act(v, "H", e[1]).is_zero()
-        assert act(v, "H", e[2]).coords == (0, 0, 2)
+        assert act(v, "H", e[2]).terms == ((2, 2),)
 
     def test_h_is_diagonal_with_weights(self):
         for m in range(7):
@@ -313,13 +311,14 @@ class TestFormatVector:
     def test_plain_combination(self):
         t = tensor_of_irreducibles(1, 1)
         assert (
-            format_vector(t, (0, 1, -1, 0)) == "e_{-1}⊗ẽ_{1} - e_{1}⊗ẽ_{-1}"
+            format_vector(t, ((1, 1), (2, -1))) == "e_{-1}⊗ẽ_{1} - e_{1}⊗ẽ_{-1}"
         )
 
     def test_scalar_coefficients(self):
         from fractions import Fraction
 
         v = irreducible(2)
-        assert format_vector(v, (2, 0, Fraction(-1, 2))) == "2·e_{-2} - 1/2·e_{2}"
-        assert format_vector(v, (0, 0, 0)) == "0"
-        assert format_vector(v, (-1, 0, 0)) == "-e_{-2}"
+        terms = ((0, 2), (2, Fraction(-1, 2)))
+        assert format_vector(v, terms) == "2·e_{-2} - 1/2·e_{2}"
+        assert format_vector(v, ()) == "0"
+        assert format_vector(v, ((0, -1),)) == "-e_{-2}"

@@ -170,7 +170,12 @@ def test_rebuilt_from_its_fields_is_equal(record):
 
 INVALID_CHANGES = {
     "WeightModule": ({"dim": 5}, "one entry per dimension"),
-    "ModuleVector": ({"coords": (1, 0)}, "does not live in V_2⊗V_1"),
+    "ModuleVector": (
+        {"terms": ((6, 1),)}, "term index 6 does not live in V_2⊗V_1 (dim 6)"
+    ),
+    "ModuleVector-order": ({"terms": ((2, 1), (1, 3))}, "term index 1 is out of order"),
+    "ModuleVector-negative": ({"terms": ((-1, 1),)}, "term index -1 is out of order"),
+    "ModuleVector-zero": ({"terms": ((1, 1), (2, 0))}, "term 2 is zero"),
     "DecompositionReport": ({"dim": 7}, "summand dimensions add to 6, not 7"),
     "BilinearForm": ({"gram": ExactMatrix.from_rows([[1, 2], [0, 1]])},
                      "gram matrix must be 6x6"),

@@ -167,7 +167,7 @@ class TestOneBadCase:
             v = brute(m, n, k)
             if (m, n, k) != case:
                 return v
-            return ModuleVector(v.module, (0,) * v.module.dim)
+            return ModuleVector(v.module, ())
 
         def zero_closed(m, n, k, q, r):
             return 0 if (m, n, k) == case else closed(m, n, k, q, r)
