@@ -21,8 +21,12 @@ identity is homogeneous and linear in the Gram matrix, so it holds for a
 nonzero multiple exactly when it holds for the matrix itself, and rank does
 not change under a nonzero scale.  The integer multiple keeps the checks
 out of `Fraction` arithmetic: a tensor Gram matrix q·r·P, with P the
-anti-diagonal permutation matrix, becomes ±P.  `evaluate` keeps its sum in
-integers too, one sum per denominator of the Gram entries.  A form holds
+anti-diagonal permutation matrix, becomes ±P.  The H identity needs no
+product at all when H is diagonal, as on every V_m and V_m⊗V_n: it holds
+exactly when each stored Gram entry g_ij pairs H-eigenvalues with
+h_i + h_j = 0, which `is_star_form` reads off the stored entries.
+`evaluate` keeps its sum in integers too, one sum per denominator of the
+Gram entries.  A form holds
 only its module and its Gram matrix; neither route caches anything on it.
 """
 
@@ -35,6 +39,8 @@ from typing import NamedTuple, Optional
 
 from .linalg import (
     ExactMatrix,
+    diagonal,
+    diagonal_identity_holds,
     kron,
     primitive_integer,
     product_identity_holds,
@@ -95,7 +101,8 @@ def canonical_form(m: int, q: Scalar) -> BilinearForm:
         raise ValueError("canonical form requires q != 0 (nondegeneracy)")
     module = irreducible(m)
     d = module.dim
-    gram = ExactMatrix.from_sparse(d, d, (((d - 1 - i, q),) for i in range(d)))
+    # one entry per row, at the anti-diagonal column: already canonical
+    gram = ExactMatrix._stored(d, d, tuple(((d - 1 - i, q),) for i in range(d)))
     return BilinearForm(module, gram)
 
 
@@ -103,11 +110,17 @@ def is_star_form(module: WeightModule, form: BilinearForm) -> StarFormReport:
     """Check the three compatibility identities and nondegeneracy, exactly.
 
     In Gram-matrix terms the identities read Gᵀ·gram = gram·G for G = actX,
-    actY and Gᵀ·gram = -gram·G for actH.  Each is compared in every entry,
-    row by row (`linalg.product_identity_holds`), on the primitive integer
-    multiple of the Gram matrix, computed here once per call, and rank is
-    taken of that multiple too: both sides of each identity scale by the
-    same positive factor, and a nonzero scale keeps the rank.
+    actY and Gᵀ·gram = -gram·G for actH.  Each is compared in every entry on
+    the primitive integer multiple of the Gram matrix, computed here once
+    per call, and rank is taken of that multiple too: both sides of each
+    identity scale by the same positive factor, and a nonzero scale keeps
+    the rank.  The X and Y identities go row by row through
+    `linalg.product_identity_holds`.  When H is diagonal, entry (i, j) of
+    Hᵀ·gram + gram·H is (h_i + h_j)·g_ij, so the H identity says that the
+    form pairs H-eigenvalue h_i only with -h_i, and
+    `linalg.diagonal_identity_holds` checks h_i + h_j = 0 over the stored
+    entries g_ij, with no product row and no Hᵀ.  Any other H takes the
+    row products.
     """
     require_module(form, module, "form lives on")
     gram = primitive_integer(form.gram)
@@ -118,7 +131,12 @@ def is_star_form(module: WeightModule, form: BilinearForm) -> StarFormReport:
         failures.append("Q(Xu,v)=Q(u,Xv)")
     if not product_identity_holds(y.transpose, gram, gram, y, zero):
         failures.append("Q(Yu,v)=Q(u,Yv)")
-    if not product_identity_holds(h.transpose, gram, gram, h, zero, s=-1):
+    h_diag = diagonal(h)
+    if h_diag is None:
+        h_holds = product_identity_holds(h.transpose, gram, gram, h, zero, s=-1)
+    else:
+        h_holds = diagonal_identity_holds(h_diag, gram, s=-1, t=0)
+    if not h_holds:
         failures.append("Q(Hu,v)=-Q(u,Hv)")
     nondegenerate = rank(gram) == module.dim
     return StarFormReport(

@@ -22,7 +22,13 @@ the matrix dimension.
 `product_identity_holds` checks an identity a@b - s·(c@d) = t·e in full,
 one row at a time: both products of a row and the row of e go into one
 accumulator, which must come out zero.  No product matrix is built and no
-row is sorted, so the check costs the products' multiplications only.
+row is sorted, so the check costs the products' multiplications only.  The
+module and form checks call it for [X,Y] = H and for the X and Y star
+identities, and for the two H identities only when H is not diagonal.
+When `diagonal` returns the diagonal h of H, an identity
+D@a - s·(a@D) = t·a with D = diag(h) reads h_i - s·h_j = t at every stored
+entry a_ij, and `diagonal_identity_holds` checks it there, with no product
+row and no transpose.
 
 Elimination reduces one row at a time on sparse integer rows: each row is
 scaled to coprime integers and held as a map from column to nonzero value,
@@ -39,7 +45,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .rationals import Scalar
 from .records import read_only
@@ -312,6 +318,44 @@ def product_identity_holds(
             acc[j] -= t * v
         for j, _ in touched:
             if acc[j]:
+                return False
+    return True
+
+
+def diagonal(a: ExactMatrix) -> Optional[tuple[Scalar, ...]]:
+    """The diagonal of a square matrix whose stored entries all lie on it
+    (zeros included), and None for any other matrix."""
+    if a.rows != a.cols:
+        return None
+    diag: list[Scalar] = []
+    for i, row in enumerate(a.nonzero_rows):
+        if not row:
+            diag.append(0)
+        elif len(row) == 1 and row[0][0] == i:
+            diag.append(row[0][1])
+        else:
+            return None
+    return tuple(diag)
+
+
+def diagonal_identity_holds(
+    h: Sequence[Scalar], a: ExactMatrix, s: Scalar = 1, t: Scalar = 1
+) -> bool:
+    """Whether D@a - s·(a@D) == t·a for D = diag(h), compared in every entry.
+
+    Entry (i, j) of the left side is (h_i - s·h_j)·a_ij, so the identity
+    holds exactly when h_i - s·h_j == t at every stored entry of a, a
+    nonzero a_ij; an entry a does not store is zero on both sides.  This is
+    `product_identity_holds(D, a, a, D, a, s, t)` with no product built.
+    """
+    if not len(h) == a.rows == a.cols:
+        raise ValueError(
+            f"diagonal of length {len(h)} against a {a.rows}x{a.cols} matrix"
+        )
+    for i, row in enumerate(a.nonzero_rows):
+        target = h[i] - t
+        for j, _ in row:
+            if s * h[j] != target:
                 return False
     return True
 

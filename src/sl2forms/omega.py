@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import perm
 from typing import NamedTuple
 
 from .forms import evaluate, tensor_of_canonical_forms
@@ -154,7 +155,8 @@ def x_power_b_closed(m: int, n: int, k: int) -> ModuleVector:
     s_k! · Σ_{l=0}^{k} (-1)^{k+l} (m-l)!(n-k+l)!/(l!(k-l)!) · e_{m-2l}⊗ẽ_{n-2(k-l)}.
 
     Each coefficient is an exact integer: (k-l)! divides (m-l)! and l!
-    divides (n-k+l)! on the admissible range.
+    divides (n-k+l)! on the admissible range, and the quotients are
+    perm(m-l, m-k) and perm(n-k+l, n-k).
     """
     _check_k(m, n, k)
     s_fact = factorial(m + n - 2 * k)
@@ -165,8 +167,8 @@ def x_power_b_closed(m: int, n: int, k: int) -> ModuleVector:
             (m - l) * (n + 1) + (n - k + l),
             (-1) ** (k + l)
             * s_fact
-            * (factorial(m - l) // factorial(k - l))
-            * (factorial(n - k + l) // factorial(l)),
+            * perm(m - l, m - k)
+            * perm(n - k + l, n - k),
         )
         for l in range(k, -1, -1)
     )
@@ -185,10 +187,8 @@ def omega_closed(m: int, n: int, k: int, q: Scalar, r: Scalar) -> Fraction:
     _check_k(m, n, k)
     if not q or not r:
         raise ValueError("omega requires q != 0 and r != 0 (nondegeneracy)")
-    total = sum(
-        (factorial(m - l) // factorial(k - l)) * (factorial(n - k + l) // factorial(l))
-        for l in range(k + 1)
-    )
+    # (m-l)!/(k-l)! and (n-k+l)!/l!, each as one falling factorial
+    total = sum(perm(m - l, m - k) * perm(n - k + l, n - k) for l in range(k + 1))
     return Fraction((-1) ** k * factorial(m + n - 2 * k) * total) * q * r
 
 

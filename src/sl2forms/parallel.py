@@ -4,7 +4,7 @@ Sweep tasks here are pure functions, so the only thing parallelism may
 change is wall time: results come back in input order and are aggregated
 identically for any worker count.
 
-With W = min(jobs, cpu count, tasks) > 1 workers, `parallel_map` is a
+With W = min(jobs, usable CPUs, tasks) > 1 workers, `parallel_map` is a
 fork-join: the items are dealt to W shares in snake order (0, 1, ..., W-1,
 W-1, ..., 0, 0, 1, ...), W - 1 forked children compute one share each and
 send their results back pickled through a pipe, and the calling process
@@ -41,6 +41,14 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on: its CPU affinity set
+    where `os` reports one, else the machine's CPU count (at least 1)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class WorkerError(RuntimeError):
     """A worker process died, or its results could not be read back."""
 
@@ -48,13 +56,13 @@ class WorkerError(RuntimeError):
 def parallel_map(fn: Callable[[A], B], items: Iterable[A], jobs: int = 1) -> list[B]:
     """Map fn over items, preserving input order.
 
-    Uses W = min(jobs, cpu count, number of items) processes, this one
-    included.  With W <= 1, without `os.fork`, or in a process that runs
+    Uses W = min(jobs, `usable_cpus()`, number of items) processes, this
+    one included.  With W <= 1, without `os.fork`, or in a process that runs
     more than one thread, it runs in-process.  The results of fn must be
     picklable.
     """
     todo = list(items)
-    workers = min(jobs, os.cpu_count() or 1, len(todo))
+    workers = min(jobs, usable_cpus(), len(todo))
     threading = sys.modules.get("threading")
     threaded = threading is not None and threading.active_count() > 1
     if workers <= 1 or threaded or not hasattr(os, "fork"):

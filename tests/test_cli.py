@@ -465,8 +465,13 @@ GOLDEN_CASES = [
     ("verify-all-max4-corrupt",
      ["verify-all", "--max", "4", "--jobs", "1", "--debug-corrupt"], 1),
     ("omega-table-5-3", ["omega-table", "5", "3", "--q=2/3", "--r=-7"], 0),
-    # the command of the benchmark's km workload
+    # the commands of the benchmark's km, sweep and large-module workloads
     ("verify-km-max16-json", ["verify-km", "--max", "16", "--format", "json"], 0),
+    ("verify-all-max12-json",
+     ["verify-all", "--max", "12", "--jobs", "1", "--q=-3/2", "--r=5/7",
+      "--format", "json"], 0),
+    ("omega-table-40-40-json",
+     ["omega-table", "40", "40", "--q=-3/2", "--r=5/7", "--format", "json"], 0),
     # the README's command-line examples, as written there
     ("readme-decompose", ["decompose", "2", "3"], 0),
     ("readme-singular-vector", ["singular-vector", "1", "1", "1"], 0),

@@ -20,6 +20,7 @@ from sl2forms.forms import (
 )
 from sl2forms.linalg import (
     ExactMatrix,
+    diagonal,
     identity,
     mat_vec,
     rank,
@@ -28,6 +29,7 @@ from sl2forms.linalg import (
 from sl2forms.modules import (
     ModuleVector,
     irreducible,
+    perturbed,
     tensor_of_irreducibles,
     tensor_product,
 )
@@ -283,6 +285,27 @@ class TestGramCorruption:
             report = is_star_form(t, BilinearForm(t, gram))
             assert "Q(Hu,v)=-Q(u,Hv)" in report.failures
             assert report.failures == fraction_star_check(t, gram)[0]
+
+
+    @pytest.mark.parametrize("m, n", [(2, 1), (3, 2)])
+    def test_bumped_h_matches_fraction_products(self, m, n):
+        """H bumped at one entry: off its diagonal the H identity takes the
+        row products, on it the diagonal check.  Either way the failures
+        and the rank agree with the product matrices."""
+        t = tensor_of_irreducibles(m, n)
+        form = tensor_form(
+            canonical_form(m, Fraction(3)), canonical_form(n, Fraction(-2, 5)), t
+        )
+        for i in range(t.dim):
+            for j in range(t.dim):
+                bad = perturbed(t, "H", i, j, Fraction(1, 2))
+                assert (diagonal(bad.actH) is None) == (i != j)
+                report = is_star_form(bad, BilinearForm(bad, form.gram))
+                assert (report.failures, report.nondegenerate) == fraction_star_check(
+                    bad, form.gram
+                ), (i, j)
+                # a nondegenerate Gram matrix fails every bump of H
+                assert "Q(Hu,v)=-Q(u,Hv)" in report.failures, (i, j)
 
 
 class TestTensorForm:

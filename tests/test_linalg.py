@@ -18,6 +18,8 @@ from sl2forms.linalg import (
     _coprime_integer_row,
     _echelon,
     apply_power,
+    diagonal,
+    diagonal_identity_holds,
     identity,
     kron,
     kron_sum,
@@ -103,6 +105,37 @@ def identity_cases(draw, max_dim: int = 5):
     else:
         e = _sparse_grid(draw, rows, cols)
     return a, b, c, d, e, s
+
+
+# Weights two apart, so shifts by ±2 and opposite pairs occur, plus a
+# fraction that pairs with nothing.
+diagonal_scalars = st.sampled_from([0, 0, 2, -2, 4, -4, Fraction(1, 2)])
+
+
+@st.composite
+def diagonal_cases(draw, max_dim: int = 6):
+    """(h, c, a, g): a diagonal h, zero entries allowed; c in {2, -2, 0};
+    a square a whose entries are drawn where h_i - h_j = c and, with one
+    more free entry half the time, anywhere; a symmetric g likewise where
+    h_i + h_j = 0, with one free symmetric pair half the time."""
+    d = draw(st.integers(min_value=1, max_value=max_dim))
+    h = draw(st.lists(diagonal_scalars, min_size=d, max_size=d))
+    c = draw(st.sampled_from([2, -2, 0]))
+    a = [[0] * d for _ in range(d)]
+    g = [[0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            if h[i] - h[j] == c:
+                a[i][j] = draw(sparse_scalars)
+            if j <= i and h[i] + h[j] == 0:
+                g[i][j] = g[j][i] = draw(sparse_scalars)
+    index = st.integers(min_value=0, max_value=d - 1)
+    if draw(st.booleans()):
+        a[draw(index)][draw(index)] = draw(sparse_scalars)
+    if draw(st.booleans()):
+        i, j = draw(index), draw(index)
+        g[i][j] = g[j][i] = draw(sparse_scalars)
+    return tuple(h), c, ExactMatrix.from_rows(a), ExactMatrix.from_rows(g)
 
 
 @st.composite
@@ -485,6 +518,70 @@ class TestProductIdentity:
         for args in cases:
             with pytest.raises(ValueError):
                 product_identity_holds(*args)
+
+
+def diagonal_matrix(h) -> ExactMatrix:
+    return ExactMatrix.from_rows(
+        [x if j == i else 0 for j in range(len(h))] for i, x in enumerate(h)
+    )
+
+
+class TestDiagonal:
+    """`diagonal`, and the shift checks it serves against
+    `product_identity_holds` and the product matrices."""
+
+    @settings(max_examples=200)
+    @given(st.integers(min_value=1, max_value=6).flatmap(
+        lambda d: st.tuples(
+            st.lists(diagonal_scalars, min_size=d, max_size=d),
+            st.none() | st.tuples(
+                st.integers(min_value=0, max_value=d - 1),
+                st.integers(min_value=0, max_value=d - 1),
+                sparse_scalars,
+            ),
+        )
+    ))
+    # a diagonal with a zero entry; a one-entry row off the diagonal
+    @example(([2, 0, -2], None))
+    @example(([0, 0, 0], (1, 2, 1)))
+    def test_diagonal_or_none(self, case):
+        h, bump = case
+        grid = [list(row) for row in diagonal_matrix(h).entries]
+        if bump:
+            i, j, v = bump
+            grid[i][j] = v
+        a = ExactMatrix.from_rows(grid)
+        off = any(grid[i][j] for i in range(len(h)) for j in range(len(h)) if i != j)
+        expected = None if off else tuple(grid[i][i] for i in range(len(h)))
+        assert diagonal(a) == expected
+
+    def test_non_square_is_none(self):
+        assert diagonal(zeros(2, 3)) is None
+        assert diagonal(ExactMatrix.from_rows([[1, 0, 0], [0, 1, 0]])) is None
+
+    @settings(max_examples=300)
+    @given(diagonal_cases())
+    @example(((2, 0, -2), 2, ExactMatrix.from_rows([[0, 1, 0], [0, 0, 3], [0, 0, 0]]),
+              ExactMatrix.from_rows([[0, 0, 1], [0, 5, 0], [1, 0, 0]])))
+    @example(((0, 2), -2, ExactMatrix.from_rows([[0, 0], [1, 0]]),
+              ExactMatrix.from_rows([[0, 1], [1, 0]])))
+    def test_shift_checks_match_products(self, case):
+        h, c, a, g = case
+        d = diagonal_matrix(h)
+        assert diagonal(d) == h
+        shift = diagonal_identity_holds(h, a, t=c)
+        assert shift == product_identity_holds(d, a, a, d, a, t=c)
+        assert shift == (d @ a - a @ d == a.scaled(c))
+        star = diagonal_identity_holds(h, g, s=-1, t=0)
+        zero = zeros(g.rows, g.cols)
+        assert star == product_identity_holds(d.transpose, g, g, d, zero, s=-1)
+        assert star == (d.transpose @ g == (g @ d).scaled(-1))
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            diagonal_identity_holds((1, 2), identity(3))
+        with pytest.raises(ValueError):
+            diagonal_identity_holds((1, 2), zeros(2, 3))
 
 
 class TestKronSum:

@@ -485,9 +485,10 @@ class TestDeterminismAndParallelism:
         assert (a.name, a.checks, a.failures) == (b.name, b.checks, b.failures)
 
     def test_worker_count_is_clamped(self, monkeypatch):
-        """Workers are min(jobs, cpu count, tasks): each item reports its
+        """Workers are min(jobs, usable CPUs, tasks): each item reports its
         square and the process that mapped it, and the calling process maps
-        the first."""
+        the first.  The usable CPUs are the affinity set where `os` has one,
+        else the CPU count."""
         here = os.getpid()
 
         def workers(count, jobs):
@@ -496,11 +497,21 @@ class TestDeterminismAndParallelism:
             assert out[0][1] == here
             return len({pid for _, pid in out})
 
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(
+            parallel.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False
+        )
         assert [workers(10, 1000), workers(3, 1000), workers(10, 2)] == [4, 3, 2]
-        # one worker, by request, cpu count or task count, runs in-process
+        # one worker, by request, usable CPUs or task count, runs in-process
         assert workers(10, 1) == 1
         assert workers(1, 1000) == 1
+        # an affinity of one CPU on a two-CPU machine
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {1})
+        assert workers(10, 1000) == 1
+        # no affinity call (macOS): the CPU count, or 1 when it is unknown
+        monkeypatch.delattr(parallel.os, "sched_getaffinity")
+        assert workers(10, 1000) == 2
         monkeypatch.setattr(parallel.os, "cpu_count", lambda: None)
         assert workers(10, 1000) == 1
 
@@ -514,7 +525,7 @@ class TestForkJoin:
 
     @pytest.fixture(autouse=True)
     def two_workers(self, monkeypatch):
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         yield
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
