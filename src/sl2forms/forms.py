@@ -26,15 +26,15 @@ product at all when H is diagonal, as on every V_m and V_m⊗V_n: it holds
 exactly when each stored Gram entry g_ij pairs H-eigenvalues with
 h_i + h_j = 0, which `is_star_form` reads off the stored entries.
 `evaluate` keeps its sum in integers too, one sum per denominator of the
-Gram entries.  A form holds
-only its module and its Gram matrix; neither route caches anything on it.
+Gram entries.  A form holds only its module and its Gram matrix, and
+nothing is cached on either: symmetry is read off the stored rows, and
+`tensor_of_canonical_forms` builds a new Q⊗R on each call.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .linalg import (
@@ -62,9 +62,10 @@ from .records import frozen
 class BilinearForm(NamedTuple):
     """A symmetric Gram matrix attached to a module's basis.
 
-    Symmetry is enforced at construction; nondegeneracy is not, so that
-    degenerate or otherwise broken forms can be fed to `is_star_form` in
-    negative tests.
+    Symmetry is enforced at construction, on the stored rows: each stored
+    entry (i, j, v) must be stored as (i, v) in row j.  Nondegeneracy is
+    not, so that degenerate or otherwise broken forms can be fed to
+    `is_star_form` in negative tests.
     """
 
     module: WeightModule
@@ -75,7 +76,8 @@ class BilinearForm(NamedTuple):
         d = module.dim
         if gram.rows != d or gram.cols != d:
             raise ValueError(f"gram matrix must be {d}x{d} for {module.label}")
-        if gram != gram.transpose:
+        rows = gram.nonzero_rows
+        if any((i, v) not in rows[j] for i, row in enumerate(rows) for j, v in row):
             raise ValueError("gram matrix must be symmetric")
 
 
@@ -185,13 +187,8 @@ def tensor_form(
     return BilinearForm(module, kron(left.gram, right.gram))
 
 
-@lru_cache(maxsize=1)  # a sweep finishes each (m, n) pair before the next
 def tensor_of_canonical_forms(m: int, n: int, q: Scalar, r: Scalar) -> BilinearForm:
-    """Q⊗R on V_m⊗V_n for the canonical forms with constants q and r.
-
-    Built once per pair: the star-form check and the ω brute route of the
-    same pair read the same form.
-    """
+    """Q⊗R on V_m⊗V_n for the canonical forms with constants q and r."""
     return tensor_form(
         canonical_form(m, q), canonical_form(n, r), tensor_of_irreducibles(m, n)
     )

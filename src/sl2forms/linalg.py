@@ -220,7 +220,7 @@ def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     An entry whose two factors are the same objects as the previous
     entry's reuses that product, so a Kronecker product of two constant
     matrices (Q⊗R of canonical forms) holds a single product object, and
-    comparing it with its transpose is an identity check per entry.
+    `primitive_integer` converts each run of one value object once.
     """
     b_nz, b_cols = b.nonzero_rows, b.cols
     last_a = last_b = last = None

@@ -193,11 +193,13 @@ def omega_closed(m: int, n: int, k: int, q: Scalar, r: Scalar) -> Fraction:
 
 
 def omega_table(m: int, n: int, q: Scalar, r: Scalar) -> OmegaReport:
-    """Rows k = 0..min(m,n), each computed by both routes and compared."""
+    """Rows k = 0..min(m,n), each computed by both routes and compared;
+    Q⊗R is built once, and the brute route of every k reads it."""
     _check_k(m, n, 0)
+    qr_form = tensor_of_canonical_forms(m, n, q, r)
     rows = []
     for k in range(min(m, n) + 1):
-        brute = omega_value(m, n, k, q, r)
+        brute = evaluate(qr_form, b_closed_form(m, n, k), x_power_b_brute(m, n, k))
         closed = omega_closed(m, n, k, q, r)
         if brute != closed:
             raise InconsistencyError(

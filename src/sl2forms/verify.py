@@ -127,9 +127,9 @@ def _omega_pair(m: int, n: int, q: Fraction, r: Fraction) -> _Checked:
 
 # The per-pair suites in stream order, each flagged if it checks each
 # singular line k = 0..min(m, n) rather than the pair once.  In one pair
-# task the ω brute route reads the Q⊗R that star-forms built and each
-# X^{s_k}b that x-power built, or fills them first; `omega.x_power_b_brute`
-# says why its cache holds a whole pair.
+# task the ω brute route reads each X^{s_k}b that x-power built, or fills
+# them first (`omega.x_power_b_brute` says why its cache holds a whole
+# pair); star-forms and the ω table each build their own Q⊗R.
 _PAIR_STEPS = {
     "relations": (_relations_pair, False),
     "star-forms": (_star_pair, False),

@@ -7,7 +7,7 @@ constant shape nondegenerate."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sl2forms.forms import (
@@ -17,6 +17,7 @@ from sl2forms.forms import (
     is_star_form,
     structure_of,
     tensor_form,
+    tensor_of_canonical_forms,
 )
 from sl2forms.linalg import (
     ExactMatrix,
@@ -75,6 +76,55 @@ class TestCanonicalForm:
     def test_asymmetric_gram_rejected(self):
         with pytest.raises(ValueError):
             BilinearForm(irreducible(1), ExactMatrix.from_rows([[0, 1], [2, 0]]))
+
+
+@st.composite
+def square_grams(draw):
+    """A sparse d×d matrix, often symmetric: each drawn entry's mirror is
+    left out, or stored with the same value (maybe of another type), or
+    with a drawn value."""
+    d = draw(st.integers(min_value=1, max_value=5))
+    values = st.sampled_from([1, -1, 2, Fraction(1), Fraction(1, 2), Fraction(-3, 2)])
+    index = st.integers(min_value=0, max_value=d - 1)
+    drawn = draw(st.dictionaries(st.tuples(index, index), values, max_size=2 * d))
+    entries = dict(drawn)
+    for (i, j), v in drawn.items():
+        mirror = draw(st.sampled_from([None, v, Fraction(v), draw(values)]))
+        if mirror is not None:
+            entries[j, i] = mirror
+    rows = [[(j, v) for (i, j), v in entries.items() if i == row] for row in range(d)]
+    return ExactMatrix.from_sparse(d, d, rows)
+
+
+class TestSymmetryCheck:
+    """`BilinearForm` reads symmetry off the stored rows, rejecting exactly
+    the Gram matrices that differ from their transpose, and leaves no
+    transpose on the Gram matrix of any form it builds."""
+
+    @settings(max_examples=200)
+    @given(square_grams())
+    @example(ExactMatrix.from_sparse(2, 2, [[(1, 1)], []]))  # mirror entry absent
+    @example(ExactMatrix.from_sparse(2, 2, [[(1, 1)], [(0, Fraction(1))]]))
+    def test_rejects_exactly_the_asymmetric(self, gram):
+        try:
+            BilinearForm(irreducible(gram.rows - 1), gram)
+            rejected = False
+        except ValueError as exc:
+            assert str(exc) == "gram matrix must be symmetric"
+            rejected = True
+        # the transpose is the oracle only, read after the form's own check
+        assert rejected == (gram != gram.transpose)
+
+    def test_constructed_forms_keep_no_transpose(self):
+        q, r = Fraction(-3, 2), Fraction(5, 7)
+        forms = [
+            canonical_form(3, q),
+            tensor_form(canonical_form(2, q), canonical_form(1, r),
+                        tensor_of_irreducibles(2, 1)),
+            tensor_of_canonical_forms(3, 2, q, r),
+        ]
+        for form in forms:
+            assert "transpose" not in vars(form.gram)
 
 
 class TestIsStarForm:

@@ -229,7 +229,6 @@ class TestOneBadCase:
 def cold_caches():
     modules.tensor_of_irreducibles.cache_clear()
     omega.x_power_b_brute.cache_clear()
-    forms.tensor_of_canonical_forms.cache_clear()
 
 
 def count_calls(monkeypatch, module, name):
@@ -245,22 +244,25 @@ def count_calls(monkeypatch, module, name):
 
 
 class TestStream:
-    """One pool call over the grid, one module and one Q⊗R per pair, and
-    bounded caches that still compute each X^{s_k}b once."""
+    """One pool call over the grid, one module per pair, one Q⊗R for each
+    of star-forms and the ω table of a pair, and bounded caches that still
+    compute each X^{s_k}b once."""
 
     def test_verify_all_builds_each_module_once(self, monkeypatch):
         maps = count_calls(monkeypatch, verify, "parallel_map")
+        # one list for both callers: star-forms in `verify`, the ω table in `omega`
+        qr_forms = count_calls(monkeypatch, verify, "tensor_of_canonical_forms")
+        monkeypatch.setattr(omega, "tensor_of_canonical_forms",
+                            verify.tensor_of_canonical_forms)
         cold_caches()
         verify_all(4, jobs=1)
         info = modules.tensor_of_irreducibles.cache_info()
         assert info.misses == 25
         assert info.currsize <= 1
         assert len(maps) == 1
-        # star-forms builds each Q⊗R; the pair's ω brute route reads it
-        info = forms.tensor_of_canonical_forms.cache_info()
-        assert info.misses == 25
-        assert info.hits >= 25
-        assert info.currsize <= 1
+        pairs = [(m, n) for m in range(5) for n in range(5)]
+        # each pair twice: star-forms, then the ω table
+        assert [call[:2] for call in qr_forms] == [p for p in pairs for _ in range(2)]
 
     def test_x_power_computed_once_per_triple(self, monkeypatch):
         powers = count_calls(monkeypatch, omega, "apply_power")
