@@ -27,9 +27,13 @@ so, when n+l-2k ≥ 0 (the i = 0 term nonzero),
     t₀     = m!(n-k)! / (k!(m-l)!(n+l-2k)!).
 
 This parameterization is derived here, not quoted from anywhere;
-`series_route_verify` checks t₀ · ₃F₂ against (-1)^{k+l} on its own, so
-the series route shares no code with the direct sum.  `to_3f2` refuses the
-n+l-2k < 0 case rather than patching prefactors.
+`series_route_verify` checks t₀ · ₃F₂ against (-1)^{k+l} on its own.  The
+two sweeps share one table, [0!, …, bound!] from `_factorials` (and the
+`rationals.factorial` it calls), declared shared: the direct sweep compares
+its `perm` sums, which never read the table, with want = ±k! from it for
+every k up to the bound, so a wrong entry fails the direct route and
+cannot pass both.  `to_3f2` refuses the n+l-2k < 0 case rather than
+patching prefactors.
 
 Both sweeps carry only integers and build no record per tuple.  Each
 builds its tables once per sweep, sized by the bound, and walks (k, l)

@@ -8,16 +8,20 @@ compatible forms pair fixed weights), so each row holds only a few
 nonzeros and sums, products, transposes and Kronecker products cost time
 in proportion to the nonzeros they touch.  A zero is never stored, so
 equal matrices have equal rows and ``==`` and ``hash`` compare the stored
-rows directly.  `ExactMatrix.entries` is a dense view rebuilt on demand.
-`primitive_integer` scales a matrix to coprime integers, for checks that
-are unchanged by a positive scale and cheaper without `Fraction`s.
+rows directly.  `ExactMatrix(rows, cols, nonzero_rows)` is the one
+validated constructor: it takes each row's (column, value) pairs in any
+column order and drops zeros.  `ExactMatrix.from_rows` builds from a dense
+grid through it, and `ExactMatrix.entries` is a dense view rebuilt on
+demand.  `primitive_integer` scales a matrix to coprime integers, for
+checks that are unchanged by a positive scale and cheaper without
+`Fraction`s.
 
 A vector is held in the same format as a matrix row (`Row`): its nonzero
 (index, value) pairs in increasing index order.  `mat_vec` and
-`apply_power` take and return that format.  Each step walks the columns
-of the matrix (rows of its cached transpose) at the vector's indices
-only, so a vector in one weight space costs that space's nonzeros, not
-the matrix dimension.
+`apply_power` take and return that format, and `null_space` returns its
+basis in it.  Each step walks the columns of the matrix (rows of its
+cached transpose) at the vector's indices only, so a vector in one weight
+space costs that space's nonzeros, not the matrix dimension.
 
 `product_identity_holds` checks an identity a@b - s·(c@d) = t·e in full,
 one row at a time: both products of a row and the row of e go into one
@@ -37,7 +41,7 @@ coprime integers again, until it is zero or has a least column with no
 pivot row yet.  A signed permutation (a tensor Gram matrix) thus costs
 constant work per row and no combination at all.  Rows that are already
 integers skip the lcm of denominators, and `null_space` back-substitutes
-in integers too, building one `Fraction` per coordinate at the end.
+in integers too, building one `Fraction` per nonzero term at the end.
 """
 
 from __future__ import annotations
@@ -58,7 +62,8 @@ class ExactMatrix:
 
     ``nonzero_rows[i]`` holds row i's nonzero entries as (column, value)
     pairs in increasing column order; nothing else is stored.  Two matrices
-    are equal when their shapes and stored rows are.
+    are equal when their shapes and stored rows are, and the repr is a call
+    of the constructor that builds an equal matrix.
     """
 
     rows: int
@@ -68,19 +73,20 @@ class ExactMatrix:
     __setattr__ = __delattr__ = read_only
 
     def __init__(
-        self, rows: int, cols: int, entries: Sequence[Sequence[Scalar]]
+        self, rows: int, cols: int, nonzero_rows: Iterable[Iterable[tuple[int, Scalar]]]
     ) -> None:
-        """Build from a dense grid of `rows` rows with `cols` entries each."""
-        if len(entries) != rows:
-            raise ValueError(f"expected {rows} rows, got {len(entries)}")
-        for row in entries:
-            if len(row) != cols:
-                raise ValueError(f"expected {cols} entries per row, got {len(row)}")
-        self._assign(
-            rows,
-            cols,
-            tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in entries),
-        )
+        """Build from per-row (column, value) pairs, at most one per column,
+        in any column order; zero values are dropped."""
+        given = [tuple(row) for row in nonzero_rows]
+        for i, row in enumerate(given):
+            if len({j for j, _ in row}) != len(row):
+                raise ValueError(f"row {i} has two entries in one column")
+        stored = tuple(_canonical(dict(row)) for row in given)
+        if len(stored) != rows:
+            raise ValueError(f"expected {rows} rows, got {len(stored)}")
+        if any(not 0 <= j < cols for row in stored for j, _ in row):
+            raise ValueError(f"column index out of range for {cols} columns")
+        self._assign(rows, cols, stored)
 
     def _assign(self, rows: int, cols: int, nonzero_rows: tuple[Row, ...]) -> None:
         if rows < 0 or cols < 0:
@@ -114,27 +120,13 @@ class ExactMatrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[Scalar]]) -> "ExactMatrix":
+        """Build from a dense grid, whose rows all have the first row's length."""
         grid = tuple(tuple(row) for row in rows)
-        if not grid:
-            return ExactMatrix(0, 0, ())
-        return ExactMatrix(len(grid), len(grid[0]), grid)
-
-    @staticmethod
-    def from_sparse(
-        rows: int, cols: int, nonzero_rows: Iterable[Iterable[tuple[int, Scalar]]]
-    ) -> "ExactMatrix":
-        """Build from per-row (column, value) pairs, at most one per column,
-        in any column order; zero values are dropped."""
-        given = [tuple(row) for row in nonzero_rows]
-        for i, row in enumerate(given):
-            if len({j for j, _ in row}) != len(row):
-                raise ValueError(f"row {i} has two entries in one column")
-        stored = tuple(_canonical(dict(row)) for row in given)
-        if len(stored) != rows:
-            raise ValueError(f"expected {rows} rows, got {len(stored)}")
-        if any(not 0 <= j < cols for row in stored for j, _ in row):
-            raise ValueError(f"column index out of range for {cols} columns")
-        return ExactMatrix._stored(rows, cols, stored)
+        cols = len(grid[0]) if grid else 0
+        for row in grid:
+            if len(row) != cols:
+                raise ValueError(f"expected {cols} entries per row, got {len(row)}")
+        return ExactMatrix(len(grid), cols, map(enumerate, grid))
 
     @property
     def entries(self) -> tuple[tuple[Scalar, ...], ...]:
@@ -339,7 +331,7 @@ def diagonal(a: ExactMatrix) -> Optional[tuple[Scalar, ...]]:
 
 
 def diagonal_identity_holds(
-    h: Sequence[Scalar], a: ExactMatrix, s: Scalar = 1, t: Scalar = 1
+    h: Sequence[Scalar], a: ExactMatrix, s: Scalar = 1, *, t: Scalar
 ) -> bool:
     """Whether D@a - s·(a@D) == t·a for D = diag(h), compared in every entry.
 
@@ -493,13 +485,14 @@ def rank(a: ExactMatrix) -> int:
     return len(_echelon(a)[1])
 
 
-def null_space(a: ExactMatrix) -> list[tuple[Fraction, ...]]:
-    """A basis of ker(A), one vector per free column in increasing order.
+def null_space(a: ExactMatrix) -> list[Row]:
+    """A basis of ker(A), one vector per free column in increasing order,
+    each in the `Row` format: its nonzero (index, `Fraction`) terms.
 
     The vector of a free column has that coordinate 1 and every other free
     coordinate 0, so it depends only on the row space of A, not on which
-    rows pivot.  It is then normalized so its first nonzero coordinate is
-    1, which makes the output directly comparable to closed forms
+    rows pivot.  It is then normalized so its first term's value is 1,
+    which makes the output directly comparable to closed forms
     normalized the same way.
 
     Back-substitution runs in integers on the pivot rows of `_echelon`,
@@ -508,13 +501,13 @@ def null_space(a: ExactMatrix) -> list[tuple[Fraction, ...]]:
     where s is the row's sum over the coordinates already set.  When
     p/gcd(s, p) is not ±1, the whole vector is first multiplied by its
     absolute value.  A kernel vector is fixed only up to scale, so the
-    scale is never tracked; one `Fraction` per coordinate, divided by the
-    leading coordinate, is built at the end.
+    scale is never tracked; one `Fraction` per nonzero coordinate, divided
+    by the leading one, is built at the end.
     """
     pivot_rows, pivot_cols = _echelon(a)
     pivots = set(pivot_cols)
     back = list(zip(reversed(pivot_cols), reversed(pivot_rows)))
-    basis: list[tuple[Fraction, ...]] = []
+    basis: list[Row] = []
     for free in range(a.cols):
         if free in pivots:
             continue
@@ -529,9 +522,7 @@ def null_space(a: ExactMatrix) -> list[tuple[Fraction, ...]]:
                     t = abs(p)
                     x = {j: v * t for j, v in x.items()}
                 x[c] = -s if p > 0 else s
-        lead = x[min(x)]
-        dense = [Fraction(0)] * a.cols
-        for j, v in x.items():
-            dense[j] = Fraction(v, lead)
-        basis.append(tuple(dense))
+        terms = sorted(x.items())
+        lead = terms[0][1]
+        basis.append(tuple((j, Fraction(v, lead)) for j, v in terms))
     return basis

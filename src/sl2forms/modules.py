@@ -160,9 +160,9 @@ def irreducible(m: int, symbol: str = "e") -> WeightModule:
         dim=dim,
         weights=weights,
         basis_names=names,
-        actX=ExactMatrix.from_sparse(dim, dim, x),
-        actY=ExactMatrix.from_sparse(dim, dim, y),
-        actH=ExactMatrix.from_sparse(dim, dim, h),
+        actX=ExactMatrix(dim, dim, x),
+        actY=ExactMatrix(dim, dim, y),
+        actH=ExactMatrix(dim, dim, h),
     )
 
 
@@ -282,7 +282,7 @@ def perturbed(
     rows = list(mat.nonzero_rows)
     entries = dict(rows[row])
     entries[col] = entries.get(col, 0) + delta
-    (rows[row],) = ExactMatrix.from_sparse(1, mat.cols, [entries.items()]).nonzero_rows
+    (rows[row],) = ExactMatrix(1, mat.cols, [entries.items()]).nonzero_rows
     bumped = ExactMatrix._stored(mat.rows, mat.cols, tuple(rows))
     return module._replace(**{f"act{g}": bumped, "label": f"{module.label}~corrupt"})
 

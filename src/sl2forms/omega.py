@@ -110,8 +110,8 @@ def y_kernel_singular(m: int, n: int, k: int) -> ModuleVector:
 
     Restricts actY of V_m⊗V_n to the (k+1)-dimensional weight space,
     keeping only the rows those columns reach, demands a one-dimensional
-    kernel, and maps the normalized basis vector (first coordinate 1) onto
-    the module's terms at the weight space's indices.
+    kernel, and moves each term t of the normalized basis vector (first
+    value 1) to the weight space's index indices[t].
     """
     _check_k(m, n, k)
     module = tensor_of_irreducibles(m, n)
@@ -131,7 +131,7 @@ def y_kernel_singular(m: int, n: int, k: int) -> ModuleVector:
             f"Y-kernel of the weight-{singular_weight(m, n, k)} space of "
             f"{module.label} has dimension {len(kernel)}, expected 1"
         )
-    return ModuleVector(module, tuple((j, v) for j, v in zip(indices, kernel[0]) if v))
+    return ModuleVector(module, tuple((indices[t], v) for t, v in kernel[0]))
 
 
 # Holds every k of one pair up to V₄₀⊗V₄₀, the largest pair of `verify-all`,

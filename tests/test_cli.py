@@ -465,6 +465,8 @@ GOLDEN_CASES = [
     ("verify-all-max4-corrupt",
      ["verify-all", "--max", "4", "--jobs", "1", "--debug-corrupt"], 1),
     ("omega-table-5-3", ["omega-table", "5", "3", "--q=2/3", "--r=-7"], 0),
+    # a +1 term after the first term, and the null-space route in text
+    ("singular-vector-4-4-2", ["singular-vector", "4", "4", "2"], 0),
     # the commands of the benchmark's km, sweep and large-module workloads
     ("verify-km-max16-json", ["verify-km", "--max", "16", "--format", "json"], 0),
     ("verify-all-max12-json",

@@ -29,6 +29,7 @@ from sl2forms.linalg import (
 )
 from sl2forms.modules import (
     ModuleVector,
+    check_relations,
     irreducible,
     perturbed,
     tensor_of_irreducibles,
@@ -43,7 +44,7 @@ def gram_with(gram, changes):
     rows = [dict(row) for row in gram.nonzero_rows]
     for (i, j), v in changes.items():
         rows[i][j] = v
-    return ExactMatrix.from_sparse(gram.rows, gram.cols, (r.items() for r in rows))
+    return ExactMatrix(gram.rows, gram.cols, (r.items() for r in rows))
 
 
 def basis_vector(module, j):
@@ -93,7 +94,7 @@ def square_grams(draw):
         if mirror is not None:
             entries[j, i] = mirror
     rows = [[(j, v) for (i, j), v in entries.items() if i == row] for row in range(d)]
-    return ExactMatrix.from_sparse(d, d, rows)
+    return ExactMatrix(d, d, rows)
 
 
 class TestSymmetryCheck:
@@ -103,8 +104,8 @@ class TestSymmetryCheck:
 
     @settings(max_examples=200)
     @given(square_grams())
-    @example(ExactMatrix.from_sparse(2, 2, [[(1, 1)], []]))  # mirror entry absent
-    @example(ExactMatrix.from_sparse(2, 2, [[(1, 1)], [(0, Fraction(1))]]))
+    @example(ExactMatrix(2, 2, [[(1, 1)], []]))  # mirror entry absent
+    @example(ExactMatrix(2, 2, [[(1, 1)], [(0, Fraction(1))]]))
     def test_rejects_exactly_the_asymmetric(self, gram):
         try:
             BilinearForm(irreducible(gram.rows - 1), gram)
@@ -147,6 +148,20 @@ class TestIsStarForm:
         report = is_star_form(t, BilinearForm(t, ExactMatrix.from_rows([[0]])))
         assert not report.nondegenerate and not report.ok
 
+    def test_v1_in_a_basis_where_h_is_not_diagonal_passes(self):
+        # the change of basis P takes each generator g to P⁻¹·g·P and the
+        # Gram matrix G to Pᵀ·G·P, so every identity still holds, but the
+        # H identity now takes the row products
+        v1 = irreducible(1)
+        p = ExactMatrix.from_rows([[1, 1], [0, 1]])
+        p_inv = ExactMatrix.from_rows([[1, -1], [0, 1]])
+        moved = {f"act{g}": p_inv @ v1.generator(g) @ p for g in "XYH"}
+        module = v1._replace(label="V_1 in basis P", **moved)
+        gram = p.transpose @ canonical_form(1, Fraction(-3, 2)).gram @ p
+        assert diagonal(module.actH) is None
+        assert check_relations(module).ok
+        assert is_star_form(module, BilinearForm(module, gram)).ok
+
     def test_module_mismatch_rejected(self):
         # named by the module check, not by a shape error further on
         with pytest.raises(ValueError, match="form lives on V_1, not V_2"):
@@ -158,6 +173,9 @@ class TestIsStarForm:
 class TestStructureOf:
     def test_constructor_round_trip(self):
         assert structure_of(canonical_form(3, Fraction(1, 2))) == (True, Fraction(1, 2))
+
+    def test_zero_form_is_anti_diagonal_with_constant_zero(self):
+        assert structure_of(BilinearForm(irreducible(2), zeros(3, 3))) == (True, 0)
 
     def test_identity_gram_not_anti_diagonal(self):
         form = BilinearForm(irreducible(1), identity(2))
