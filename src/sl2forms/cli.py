@@ -51,9 +51,10 @@ def _exponent(text: str) -> int:
 
 
 # The largest sizes accepted.  m and n stop at 200, where the digit bound
-# above holds.  Each sweep bound is about where one run at --jobs 1 took a
-# minute on a 2-CPU x86 host with Python 3.11 (README); `verify-km --max 72`
-# now takes about 18 s there, and its bound is kept.
+# above holds.  The sweep bounds were first set where one run at --jobs 1
+# took about a minute on a 2-CPU x86 host with Python 3.11; one cold run at
+# each bound now takes 14-15 s (verify-km), 13 s (verify-star) and 19 s
+# (verify-all) there (README).
 _MODULE_MAX = 200
 _SWEEP_MAX = {"verify-km": 72, "verify-star": 48, "verify-all": 40}
 

@@ -21,10 +21,8 @@ identity is homogeneous and linear in the Gram matrix, so it holds for a
 nonzero multiple exactly when it holds for the matrix itself, and rank does
 not change under a nonzero scale.  The integer multiple keeps the checks
 out of `Fraction` arithmetic: a tensor Gram matrix q·r·P, with P the
-anti-diagonal permutation matrix, becomes ±P.  The H identity needs no
-product at all when H is diagonal, as on every V_m and V_m⊗V_n: it holds
-exactly when each stored Gram entry g_ij pairs H-eigenvalues with
-h_i + h_j = 0, which `is_star_form` reads off the stored entries.
+anti-diagonal permutation matrix, becomes ±P.  The H identity goes
+through `linalg.h_identity_holds`, which chooses how to check it.
 `evaluate` keeps its sum in integers too, one sum per denominator of the
 Gram entries.  A form holds only its module and its Gram matrix, and
 nothing is cached on either: symmetry is read off the stored rows, and
@@ -39,13 +37,11 @@ from typing import NamedTuple, Optional
 
 from .linalg import (
     ExactMatrix,
-    diagonal,
-    diagonal_identity_holds,
+    h_identity_holds,
     kron,
     primitive_integer,
     product_identity_holds,
     rank,
-    zeros,
 )
 from .modules import (
     ModuleVector,
@@ -117,28 +113,18 @@ def is_star_form(module: WeightModule, form: BilinearForm) -> StarFormReport:
     per call, and rank is taken of that multiple too: both sides of each
     identity scale by the same positive factor, and a nonzero scale keeps
     the rank.  The X and Y identities go row by row through
-    `linalg.product_identity_holds`.  When H is diagonal, entry (i, j) of
-    Hᵀ·gram + gram·H is (h_i + h_j)·g_ij, so the H identity says that the
-    form pairs H-eigenvalue h_i only with -h_i, and
-    `linalg.diagonal_identity_holds` checks h_i + h_j = 0 over the stored
-    entries g_ij, with no product row and no Hᵀ.  Any other H takes the
-    row products.
+    `linalg.product_identity_holds`, and the H identity through
+    `linalg.h_identity_holds`, which chooses how.
     """
     require_module(form, module, "form lives on")
     gram = primitive_integer(form.gram)
-    zero = zeros(gram.rows, gram.cols)
     x, y, h = module.actX, module.actY, module.actH
     failures = []
-    if not product_identity_holds(x.transpose, gram, gram, x, zero):
+    if not product_identity_holds(x.transpose, gram, gram, x, gram, t=0):
         failures.append("Q(Xu,v)=Q(u,Xv)")
-    if not product_identity_holds(y.transpose, gram, gram, y, zero):
+    if not product_identity_holds(y.transpose, gram, gram, y, gram, t=0):
         failures.append("Q(Yu,v)=Q(u,Yv)")
-    h_diag = diagonal(h)
-    if h_diag is None:
-        h_holds = product_identity_holds(h.transpose, gram, gram, h, zero, s=-1)
-    else:
-        h_holds = diagonal_identity_holds(h_diag, gram, s=-1, t=0)
-    if not h_holds:
+    if not h_identity_holds(h, gram, -1, t=0, transposed=True):
         failures.append("Q(Hu,v)=-Q(u,Hv)")
     nondegenerate = rank(gram) == module.dim
     return StarFormReport(

@@ -53,9 +53,11 @@ definitions, and the sweeps are tested against them:
   one times the term ratio, summed in `Fraction`s.  `series_route_verify`
   writes each tuple's integer parameters and prefactor inline, sums the
   series with `_horner`, Horner's rule on one unreduced integer
-  numerator/denominator pair, and compares by cross-multiplication.  The
-  reference and the sweep share only `_truncation_index` and
-  `_check_lower` (the lower-parameter guard), and no arithmetic.
+  numerator/denominator pair, and compares by cross-multiplication.  It
+  writes the truncation index min(k, m-l) inline too and needs no
+  lower-parameter guard, so the only code it shares with the reference
+  (`to_3f2` and `eval_3f2_terminating`) is `rationals.factorial`, which
+  fills its `_factorials` table.
 
 Each sweep reports the number of tuples it checked, and `km_tuple_count`
 and `series_tuple_count` give the numbers its bound promises by counting
@@ -239,11 +241,11 @@ def series_route_verify(bound: int) -> KMSweepReport:
     skipped (they are covered by km_range_verify).  The walk is (k, l, m)
     outermost and n innermost from 2k-l, the first n with n+l-2k ≥ 0.  Over
     one block of n only a₂ = n-k+1 and b₂ = n+l-2k+1 change, and both are
-    positive, so the truncation index and the lower-parameter guard of the
-    block's first tuple hold for every tuple of it: each is taken once per
-    block, by the same `_truncation_index` and `_check_lower` as
-    `eval_3f2_terminating`.  Each tuple is then the parameters and
-    prefactor of `to_3f2`, in integers, and one call of the Horner kernel.
+    positive, so the truncation index is min(k, m-l), from a₁ = -k and
+    a₃ = l-m, for the whole block.  No lower factor vanishes before it:
+    b₁ + i = i-m ≠ 0 for i < t ≤ k ≤ m, and b₂ ≥ 1.  Each tuple is then
+    the parameters and prefactor of `to_3f2`, in integers, and one call of
+    the Horner kernel.
     """
     if bound < 0:
         raise ValueError(f"bound must be nonnegative (got {bound})")
@@ -253,12 +255,9 @@ def series_route_verify(bound: int) -> KMSweepReport:
     for k in range(bound + 1):
         for l in range(k + 1):
             odd = (k + l) & 1
-            first = 2 * k - l
-            ns = range(first, bound + 1)
+            ns = range(2 * k - l, bound + 1)
             for m in range(k, bound + 1):
-                # the parameters of the block's first tuple, n = 2k-l
-                t = _truncation_index((-k, first - k + 1, l - m))
-                _check_lower(t, -m, 1)
+                t = min(k, m - l)
                 pre_num, pre_den = facts[m], facts[k] * facts[m - l]
                 # n-k runs from k-l and n+l-2k from 0 as n runs over ns
                 for n, f_nk, f_shift in zip(ns, facts[k - l:], facts):

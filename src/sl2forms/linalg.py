@@ -28,11 +28,8 @@ one row at a time: both products of a row and the row of e go into one
 accumulator, which must come out zero.  No product matrix is built and no
 row is sorted, so the check costs the products' multiplications only.  The
 module and form checks call it for [X,Y] = H and for the X and Y star
-identities, and for the two H identities only when H is not diagonal.
-When `diagonal` returns the diagonal h of H, an identity
-D@a - s·(a@D) = t·a with D = diag(h) reads h_i - s·h_j = t at every stored
-entry a_ij, and `diagonal_identity_holds` checks it there, with no product
-row and no transpose.
+identities, and call `h_identity_holds` for the H identities: the one
+place that chooses between a weight-shift check and the row products.
 
 Elimination reduces one row at a time on sparse integer rows: each row is
 scaled to coprime integers and held as a map from column to nonzero value,
@@ -330,24 +327,37 @@ def diagonal(a: ExactMatrix) -> Optional[tuple[Scalar, ...]]:
     return tuple(diag)
 
 
-def diagonal_identity_holds(
-    h: Sequence[Scalar], a: ExactMatrix, s: Scalar = 1, *, t: Scalar
+def h_identity_holds(
+    h: ExactMatrix,
+    a: ExactMatrix,
+    s: Scalar = 1,
+    *,
+    t: Scalar,
+    transposed: bool = False,
 ) -> bool:
-    """Whether D@a - s·(a@D) == t·a for D = diag(h), compared in every entry.
+    """Whether H'@a - s·(a@H) == t·a, compared in every entry, where H' is
+    h, or its transpose when `transposed` is set.
 
-    Entry (i, j) of the left side is (h_i - s·h_j)·a_ij, so the identity
-    holds exactly when h_i - s·h_j == t at every stored entry of a, a
-    nonzero a_ij; an entry a does not store is zero on both sides.  This is
-    `product_identity_holds(D, a, a, D, a, s, t)` with no product built.
+    When `diagonal` finds the diagonal (h_0, h_1, …) of h, as on every V_m
+    and V_m⊗V_n, H' = H and entry (i, j) of the left side is
+    (h_i - s·h_j)·a_ij.  The identity then holds exactly when
+    h_i - s·h_j == t at every stored entry of a, a nonzero a_ij (an entry a
+    does not store is zero on both sides), and it is checked there, with
+    no product row and no transpose.  Any other h takes the row products
+    of `product_identity_holds`, and only that path reads `h.transpose`.
     """
-    if not len(h) == a.rows == a.cols:
+    diag = diagonal(h)
+    if diag is None:
+        left = h.transpose if transposed else h
+        return product_identity_holds(left, a, a, h, a, s, t)
+    if not len(diag) == a.rows == a.cols:
         raise ValueError(
-            f"diagonal of length {len(h)} against a {a.rows}x{a.cols} matrix"
+            f"diagonal of length {len(diag)} against a {a.rows}x{a.cols} matrix"
         )
     for i, row in enumerate(a.nonzero_rows):
-        target = h[i] - t
+        target = diag[i] - t
         for j, _ in row:
-            if s * h[j] != target:
+            if s * diag[j] != target:
                 return False
     return True
 

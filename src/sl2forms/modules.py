@@ -32,8 +32,7 @@ from typing import NamedTuple
 from .linalg import (
     ExactMatrix,
     Row,
-    diagonal,
-    diagonal_identity_holds,
+    h_identity_holds,
     kron_sum,
     mat_vec,
     product_identity_holds,
@@ -170,23 +169,15 @@ def check_relations(module: WeightModule) -> RelationReport:
     """Verify [X,Y] = H, [H,X] = 2X, [H,Y] = -2Y as exact matrix identities,
     each compared in every entry.
 
-    [X,Y] = H is checked by `linalg.product_identity_holds`.  When H is
-    diagonal, entry (i, j) of [H,X] is (h_i - h_j)·x_ij, so [H,X] = 2X says
-    that X's stored entries shift the weight h_j to h_j + 2, and [H,Y] = -2Y
-    likewise for Y: `linalg.diagonal_identity_holds` checks that over the
-    stored entries of X and Y.  Any other H takes the full row products.
+    [X,Y] = H is checked by `linalg.product_identity_holds`, and [H,X] = 2X
+    and [H,Y] = -2Y by `linalg.h_identity_holds`, which chooses how.
     """
     x, y, h = module.actX, module.actY, module.actH
     failures = []
     if not product_identity_holds(x, y, y, x, h):
         failures.append("[X,Y]=H")
-    h_diag = diagonal(h)
     for name, a, t in (("[H,X]=2X", x, 2), ("[H,Y]=-2Y", y, -2)):
-        if h_diag is None:
-            holds = product_identity_holds(h, a, a, h, a, t=t)
-        else:
-            holds = diagonal_identity_holds(h_diag, a, t=t)
-        if not holds:
+        if not h_identity_holds(h, a, t=t):
             failures.append(name)
     return RelationReport(label=module.label, failures=tuple(failures))
 

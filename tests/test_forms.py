@@ -162,6 +162,17 @@ class TestIsStarForm:
         assert check_relations(module).ok
         assert is_star_form(module, BilinearForm(module, gram)).ok
 
+    def test_diagonal_h_builds_no_transpose(self):
+        # built here, not through the cache of `tensor_of_irreducibles`, so
+        # no other check has read its Hᵀ
+        module = tensor_product(irreducible(3), irreducible(2, "ẽ"))
+        form = tensor_form(
+            canonical_form(3, Fraction(-3, 2)), canonical_form(2, Fraction(5, 7)), module
+        )
+        assert check_relations(module).ok
+        assert is_star_form(module, form).ok
+        assert "transpose" not in vars(module.actH)
+
     def test_module_mismatch_rejected(self):
         # named by the module check, not by a shape error further on
         with pytest.raises(ValueError, match="form lives on V_1, not V_2"):

@@ -291,6 +291,15 @@ class TestSeriesForm:
         spec, prefactor = to_3f2(KMParams(k, l, m, n))
         assert prefactor * eval_3f2_terminating(spec) == (-1) ** (k + l)
 
+    def test_sweep_shares_no_code_with_the_definition(self, monkeypatch):
+        def reference_only(*args):
+            raise AssertionError("a reference helper ran")
+
+        for name in ("_truncation_index", "_check_lower", "to_3f2",
+                     "eval_3f2_terminating"):
+            monkeypatch.setattr(hypergeom, name, reference_only)
+        assert series_route_verify(8).ok
+
     def test_sweep_clean(self):
         assert series_route_verify(8).ok
 

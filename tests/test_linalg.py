@@ -19,7 +19,7 @@ from sl2forms.linalg import (
     _echelon,
     apply_power,
     diagonal,
-    diagonal_identity_holds,
+    h_identity_holds,
     identity,
     kron,
     kron_sum,
@@ -114,10 +114,13 @@ diagonal_scalars = st.sampled_from([0, 0, 2, -2, 4, -4, Fraction(1, 2)])
 
 @st.composite
 def diagonal_cases(draw, max_dim: int = 6):
-    """(h, c, a, g): a diagonal h, zero entries allowed; c in {2, -2, 0};
-    a square a whose entries are drawn where h_i - h_j = c and, with one
-    more free entry half the time, anywhere; a symmetric g likewise where
-    h_i + h_j = 0, with one free symmetric pair half the time."""
+    """(h, diag, c, a, g): a matrix h, diagonal (zero entries allowed) or, a
+    third of the time, with one more entry off the diagonal; diag, h's
+    diagonal when that is all h stores and None otherwise; c in {2, -2, 0}; a
+    square a whose entries are drawn where h_i - h_j = c for the diagonal
+    (h_i) and, with one more free entry half the time, anywhere; a
+    symmetric g likewise where h_i + h_j = 0, with one free symmetric pair
+    half the time."""
     d = draw(st.integers(min_value=1, max_value=max_dim))
     h = draw(st.lists(diagonal_scalars, min_size=d, max_size=d))
     c = draw(st.sampled_from([2, -2, 0]))
@@ -129,13 +132,20 @@ def diagonal_cases(draw, max_dim: int = 6):
                 a[i][j] = draw(sparse_scalars)
             if j <= i and h[i] + h[j] == 0:
                 g[i][j] = g[j][i] = draw(sparse_scalars)
+    hm = [[x if j == i else 0 for j in range(d)] for i, x in enumerate(h)]
+    diag = tuple(h)
     index = st.integers(min_value=0, max_value=d - 1)
+    if d > 1 and draw(st.integers(min_value=0, max_value=2)) == 0:
+        i, j = draw(index), draw(st.integers(min_value=0, max_value=d - 2))
+        hm[i][j + (j >= i)] = draw(st.sampled_from([1, -1, 2, Fraction(1, 2)]))
+        diag = None
     if draw(st.booleans()):
         a[draw(index)][draw(index)] = draw(sparse_scalars)
     if draw(st.booleans()):
         i, j = draw(index), draw(index)
         g[i][j] = g[j][i] = draw(sparse_scalars)
-    return tuple(h), c, ExactMatrix.from_rows(a), ExactMatrix.from_rows(g)
+    return (ExactMatrix.from_rows(hm), diag, c, ExactMatrix.from_rows(a),
+            ExactMatrix.from_rows(g))
 
 
 @st.composite
@@ -565,27 +575,37 @@ class TestDiagonal:
 
     @settings(max_examples=300)
     @given(diagonal_cases())
-    @example(((2, 0, -2), 2, ExactMatrix.from_rows([[0, 1, 0], [0, 0, 3], [0, 0, 0]]),
+    @example((diagonal_matrix((2, 0, -2)), (2, 0, -2), 2,
+              ExactMatrix.from_rows([[0, 1, 0], [0, 0, 3], [0, 0, 0]]),
               ExactMatrix.from_rows([[0, 0, 1], [0, 5, 0], [1, 0, 0]])))
-    @example(((0, 2), -2, ExactMatrix.from_rows([[0, 0], [1, 0]]),
+    @example((diagonal_matrix((0, 2)), (0, 2), -2, ExactMatrix.from_rows([[0, 0], [1, 0]]),
+              ExactMatrix.from_rows([[0, 1], [1, 0]])))
+    # H off the diagonal, where the [H,X] = 2X identity still holds
+    @example((ExactMatrix.from_rows([[1, 1], [0, -1]]), None, 2,
+              ExactMatrix.from_rows([[0, 1], [0, 0]]),
               ExactMatrix.from_rows([[0, 1], [1, 0]])))
     def test_shift_checks_match_products(self, case):
-        h, c, a, g = case
-        d = diagonal_matrix(h)
-        assert diagonal(d) == h
-        shift = diagonal_identity_holds(h, a, t=c)
-        assert shift == product_identity_holds(d, a, a, d, a, t=c)
-        assert shift == (d @ a - a @ d == a.scaled(c))
-        star = diagonal_identity_holds(h, g, s=-1, t=0)
+        h, diag, c, a, g = case
+        assert diagonal(h) == diag
+        shift = h_identity_holds(h, a, t=c)
+        assert "transpose" not in vars(h)
+        star = h_identity_holds(h, g, -1, t=0, transposed=True)
+        # only the row products read Hᵀ
+        assert ("transpose" in vars(h)) == (diag is None)
+        assert shift == product_identity_holds(h, a, a, h, a, t=c)
+        assert shift == (h @ a - a @ h == a.scaled(c))
         zero = zeros(g.rows, g.cols)
-        assert star == product_identity_holds(d.transpose, g, g, d, zero, s=-1)
-        assert star == (d.transpose @ g == (g @ d).scaled(-1))
+        assert star == product_identity_holds(h.transpose, g, g, h, zero, s=-1)
+        assert star == (h.transpose @ g == (g @ h).scaled(-1))
 
     def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            diagonal_identity_holds((1, 2), identity(3), t=0)
-        with pytest.raises(ValueError):
-            diagonal_identity_holds((1, 2), zeros(2, 3), t=0)
+        with pytest.raises(ValueError, match="diagonal of length 2 against a 3x3"):
+            h_identity_holds(diagonal_matrix((1, 2)), identity(3), t=0)
+        with pytest.raises(ValueError, match="diagonal of length 2 against a 2x3"):
+            h_identity_holds(diagonal_matrix((1, 2)), zeros(2, 3), t=0)
+        # off the diagonal the row products' shape check rejects it
+        with pytest.raises(ValueError, match="cannot multiply"):
+            h_identity_holds(ExactMatrix.from_rows([[0, 1], [0, 0]]), identity(3), t=0)
 
 
 class TestKronSum:
