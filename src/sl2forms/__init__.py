@@ -36,10 +36,9 @@ _EXPORTS = {
         "weight_space_indices",
     ),
     "omega": (
-        "InconsistencyError", "OmegaReport", "OmegaRow", "SignAlternationReport",
-        "b_closed_form", "check_sign_alternation", "omega_closed", "omega_table",
-        "omega_value", "x_power_b_brute", "x_power_b_closed", "y_annihilates",
-        "y_kernel_singular",
+        "InconsistencyError", "OmegaReport", "OmegaRow", "b_closed_form",
+        "omega_closed", "omega_table", "omega_value", "x_power_b_brute",
+        "x_power_b_closed", "y_annihilates", "y_kernel_singular",
     ),
     "rationals": ("factorial", "parse_rational", "reciprocal_factorial", "sign"),
     "verify": ("SuiteResult", "verify_all"),

@@ -282,14 +282,14 @@ def cmd_singular_vector(args: argparse.Namespace) -> int:
 
 
 def cmd_omega_table(args: argparse.Namespace) -> int:
-    from .omega import InconsistencyError, check_sign_alternation
+    from .omega import InconsistencyError, omega_table
 
     try:
-        report = check_sign_alternation(args.m, args.n, args.q, args.r)
+        table = omega_table(args.m, args.n, args.q, args.r)
     except InconsistencyError as exc:
         print(f"route disagreement: {exc}", file=sys.stderr)
         return 1
-    table = report.table
+    alternating = table.alternating
     if args.format == "json":
         _emit_json({
             "m": table.m, "n": table.n,
@@ -299,7 +299,7 @@ def cmd_omega_table(args: argparse.Namespace) -> int:
                  "value": str(row.value), "sign": row.sign}
                 for row in table.rows
             ],
-            "alternating": report.ok,
+            "alternating": alternating,
         })
     else:
         print(f"ω_k(b,b) on V{table.m}⊗V{table.n} with "
@@ -307,8 +307,8 @@ def cmd_omega_table(args: argparse.Namespace) -> int:
         for row in table.rows:
             print(f"  k={row.k}  s={row.s}  ω={row.value}  "
                   f"sign={_SIGN_CHAR[row.sign]}")
-        print(f"alternating: {'PASS' if report.ok else 'FAIL'}")
-    return 0 if report.ok else 1
+        print(f"alternating: {'PASS' if alternating else 'FAIL'}")
+    return 0 if alternating else 1
 
 
 def cmd_verify_km(args: argparse.Namespace) -> int:

@@ -53,19 +53,21 @@ class WeightModule(NamedTuple):
     """
 
     label: str
-    dim: int
     weights: tuple[int, ...]
     basis_names: tuple[str, ...]
     actX: ExactMatrix
     actY: ExactMatrix
     actH: ExactMatrix
 
+    @property
+    def dim(self) -> int:
+        return len(self.weights)
+
     def _check(self) -> None:
-        _, dim, weights, basis_names, actX, actY, actH = self
-        if dim < 0:
-            raise ValueError("module dimension must be nonnegative")
-        if len(weights) != dim or len(basis_names) != dim:
-            raise ValueError("weights and basis_names must have one entry per dimension")
+        _, weights, basis_names, actX, actY, actH = self
+        dim = len(weights)
+        if len(basis_names) != dim:
+            raise ValueError("basis_names must have one entry per weight")
         for g, mat in zip(GENERATORS, (actX, actY, actH)):
             if mat.rows != dim or mat.cols != dim:
                 raise ValueError(f"act{g} must be {dim}x{dim}")
@@ -156,7 +158,6 @@ def irreducible(m: int, symbol: str = "e") -> WeightModule:
     h = [((j, w),) for j, w in enumerate(weights)]
     return WeightModule(
         label=f"V_{m}",
-        dim=dim,
         weights=weights,
         basis_names=names,
         actX=ExactMatrix(dim, dim, x),
@@ -203,12 +204,10 @@ def tensor_product(a: WeightModule, b: WeightModule) -> WeightModule:
     row (i, j) is built directly from A's entry of row i and B's entry of
     row j; other factors take the two Kronecker products.
     """
-    dim = a.dim * b.dim
     weights = tuple(wa + wb for wa in a.weights for wb in b.weights)
     names = tuple(f"{na}⊗{nb}" for na in a.basis_names for nb in b.basis_names)
     return WeightModule(
         label=f"{a.label}⊗{b.label}",
-        dim=dim,
         weights=weights,
         basis_names=names,
         actX=kron_sum(a.actX, b.actX),

@@ -51,7 +51,10 @@ class OmegaRow(NamedTuple):
     k: int
     s: int
     value: Fraction
-    sign: int
+
+    @property
+    def sign(self) -> int:
+        return sign(self.value)
 
 
 @frozen
@@ -75,13 +78,11 @@ class OmegaReport(NamedTuple):
             if not row.value:
                 raise ValueError(f"row k={row.k} has value 0; ω_k must be nondegenerate")
 
-
-@frozen
-class SignAlternationReport(NamedTuple):
-    """Whether sign(ω_k) = (-1)^k · sign(qr) holds for every k."""
-
-    table: OmegaReport
-    ok: bool
+    @property
+    def alternating(self) -> bool:
+        """Whether sign(ω_k) = (-1)^k · sign(qr) holds for every k."""
+        base = sign(self.q * self.r)
+        return all(row.sign == (-1) ** row.k * base for row in self.rows)
 
 
 def _check_k(m: int, n: int, k: int) -> None:
@@ -206,16 +207,8 @@ def omega_table(m: int, n: int, q: Scalar, r: Scalar) -> OmegaReport:
                 f"ω_{k}(b,b) routes disagree on V_{m}⊗V_{n} with q={q}, r={r}: "
                 f"brute {brute} vs closed {closed}"
             )
-        rows.append(OmegaRow(k=k, s=m + n - 2 * k, value=brute, sign=sign(brute)))
+        rows.append(OmegaRow(k=k, s=m + n - 2 * k, value=brute))
     return OmegaReport(m=m, n=n, q=Fraction(q), r=Fraction(r), rows=tuple(rows))
-
-
-def check_sign_alternation(m: int, n: int, q: Scalar, r: Scalar) -> SignAlternationReport:
-    """Pass iff sign(ω_k) = (-1)^k·sign(qr) for every k (strict alternation)."""
-    table = omega_table(m, n, q, r)
-    base = sign(Fraction(q) * Fraction(r))
-    ok = all(row.sign == (-1) ** row.k * base for row in table.rows)
-    return SignAlternationReport(table=table, ok=ok)
 
 
 def y_annihilates(v: ModuleVector) -> bool:

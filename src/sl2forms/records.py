@@ -2,11 +2,12 @@
 
 A record is one `typing.NamedTuple` declaration under `frozen`: its fields
 and, optionally, a `_check(self)` that raises on invalid fields.  A record
-holds only its fields.  A NamedTuple class body may not define `__new__`,
-so `frozen` installs one that runs `_check` on the built tuple, on every
-construction path: calls, `_make`, `_replace`, deep copy and pickle at
-every protocol (a record reduces to its class and its fields, so a copy is
-rebuilt by a call).  `frozen` also refuses tuple arithmetic (`+` and `*`
+holds only its fields; a verdict or size they determine is a property, so
+no record can contradict itself.  A NamedTuple class body may not define
+`__new__`, so `frozen` installs one that runs `_check` on the built tuple,
+on every construction path: calls, `_make`, `_replace`, deep copy and
+pickle at every protocol (a record reduces to its class and its fields, so
+a copy is rebuilt by a call).  `frozen` also refuses tuple arithmetic (`+` and `*`
 raise `TypeError`).  A NamedTuple has no instance `__dict__`, so every
 field write, field delete and new attribute already raises
 `AttributeError`.  `ExactMatrix` is a plain class that installs

@@ -37,7 +37,7 @@ from .modules import (
 from .omega import (
     InconsistencyError,
     b_closed_form,
-    check_sign_alternation,
+    omega_table,
     x_power_b_brute,
     x_power_b_closed,
     y_annihilates,
@@ -118,9 +118,9 @@ def _x_power_pair(m: int, n: int, q: Fraction, r: Fraction) -> _Checked:
 
 
 def _omega_pair(m: int, n: int, q: Fraction, r: Fraction) -> _Checked:
-    report = check_sign_alternation(m, n, q, r)
-    rows = report.table.rows
-    if report.ok:
+    table = omega_table(m, n, q, r)
+    rows = table.rows
+    if table.alternating:
         return len(rows), []
     return len(rows), [f"V_{m}⊗V_{n} q={q} r={r}: signs {tuple(row.sign for row in rows)}"]
 

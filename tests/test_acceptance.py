@@ -19,8 +19,8 @@ from sl2forms.modules import (
 )
 from sl2forms.omega import (
     b_closed_form,
-    check_sign_alternation,
     omega_closed,
+    omega_table,
     omega_value,
     x_power_b_brute,
     x_power_b_closed,
@@ -131,13 +131,13 @@ def test_criterion_7_sign_alternation_theorem():
             failures.append(f"spot ω_{k}({m},{n}) != {expected}")
     for m, n in product(range(13), repeat=2):
         for q, r in product(QR_GRID, repeat=2):
-            result = check_sign_alternation(m, n, q, r)  # asserts both routes agree
-            checks += len(result.table.rows)
+            table = omega_table(m, n, q, r)  # asserts both routes agree
+            checks += len(table.rows)
             base = sign(q * r)
-            for row in result.table.rows:
+            for row in table.rows:
                 if row.sign != (-1) ** row.k * base:
                     failures.append(f"sign at ({m},{n},{row.k},q={q},r={r})")
-            if not result.ok:
+            if not table.alternating:
                 failures.append(f"alternation at ({m},{n},q={q},r={r})")
     report(7, "ω_k signs alternate as (-1)^k·sign(qr) (m,n ≤ 12)", failures, checks)
 

@@ -1,7 +1,8 @@
 """CLI contract: output shapes, JSON schemas, exit codes, determinism.
 
-Each case runs the installed module in a subprocess, exactly as a user
-would, except `TestParser`, which reads `build_parser()` in process."""
+Most cases run the installed module in a subprocess, exactly as a user
+would.  The rest call `cli.main` or the parser in process, to read a usage
+error or to patch a layer (an ω route made to fail)."""
 
 import argparse
 import json
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from sl2forms import cli
+from sl2forms import cli, omega
 
 BASE = [sys.executable, "-m", "sl2forms"]
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -106,6 +107,24 @@ class TestOmegaTable:
     def test_rational_literals_accepted(self):
         proc = run("omega-table", "2", "2", "--q", "1/2", "--r=-3/7")
         assert proc.returncode == 0
+
+    @pytest.mark.parametrize("fmt, verdict", [
+        ("text", "alternating: FAIL\n"), ("json", '"alternating":false}\n'),
+    ])
+    def test_wrong_signs_fail(self, monkeypatch, capsys, fmt, verdict):
+        # both routes negated: they agree, and every sign is wrong
+        for name in ("evaluate", "omega_closed"):
+            monkeypatch.setattr(omega, name, lambda *a, f=getattr(omega, name): -f(*a))
+        assert cli.main(["omega-table", "3", "2", "--format", fmt]) == 1
+        assert capsys.readouterr().out.endswith(verdict)
+
+    def test_route_disagreement_fails_with_empty_stdout(self, monkeypatch, capsys):
+        monkeypatch.setattr(omega, "omega_closed",
+                            lambda *a, f=omega.omega_closed: f(*a) + 1)
+        assert cli.main(["omega-table", "3", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("route disagreement: ω_0(b,b) routes disagree on V_3⊗V_2")
 
 
 class TestVerifyKM:

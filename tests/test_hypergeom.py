@@ -533,10 +533,10 @@ class TestIntegerCores:
         assert km_scaled_sum(p) == (-1) ** (k + l) * math.factorial(k)
 
     def test_series_sweep_kernel_calls_match_to_3f2(self, monkeypatch):
-        # The sweep takes the truncation index and the lower-parameter guard
-        # once per block of n.  On every mapped tuple its kernel call must
-        # still be the truncation index and the integer upper and lower
-        # parameters of `to_3f2`.
+        # The sweep writes the truncation index t = min(k, m-l) inline, once
+        # per block of n, and takes no lower-parameter guard.  On every
+        # mapped tuple its kernel call must still be the truncation index
+        # and the integer upper and lower parameters of `to_3f2`.
         from collections import Counter
 
         calls = []

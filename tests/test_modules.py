@@ -295,10 +295,9 @@ class TestDecompose:
         assert sum(mult * (j + 1) for j, mult in report.summands) == (m + 1) * (n + 1)
 
     def test_empty_module(self):
-        empty = WeightModule("empty", 0, (), (), zeros(0, 0), zeros(0, 0), zeros(0, 0))
+        empty = WeightModule("empty", (), (), zeros(0, 0), zeros(0, 0), zeros(0, 0))
+        assert empty.dim == 0
         assert decompose(empty) == DecompositionReport(dim=0, summands=())
-        with pytest.raises(ValueError, match="dimension must be nonnegative"):
-            WeightModule("negative", -1, (), (), zeros(0, 0), zeros(0, 0), zeros(0, 0))
 
     def test_inconsistent_weights_rejected(self):
         broken = irreducible(2)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl2forms import omega
 from sl2forms.forms import canonical_form, evaluate, tensor_form
 from sl2forms.modules import (
     ModuleVector,
@@ -20,7 +21,6 @@ from sl2forms.modules import (
 from sl2forms.omega import (
     InconsistencyError,
     b_closed_form,
-    check_sign_alternation,
     omega_closed,
     omega_table,
     omega_value,
@@ -248,17 +248,25 @@ class TestOmegaTable:
     @given(mnk_triples(), nonzero_q, nonzero_q)
     def test_sign_law(self, mnk, q, r):
         m, n, _ = mnk
-        report = check_sign_alternation(m, n, q, r)
-        assert report.ok
+        report = omega_table(m, n, q, r)
+        assert report.alternating
         base = sign(Fraction(q) * Fraction(r))
-        for row in report.table.rows:
+        for row in report.rows:
             assert row.sign == (-1) ** row.k * base
 
     def test_alternation_examples(self):
-        rep = check_sign_alternation(5, 3, 1, 1)
-        assert rep.ok
-        assert [r.sign for r in rep.table.rows] == [1, -1, 1, -1]
-        rep = check_sign_alternation(5, 3, 1, -1)
-        assert rep.ok
-        assert [r.sign for r in rep.table.rows] == [-1, 1, -1, 1]
-        assert check_sign_alternation(0, 0, 2, 3).ok
+        rep = omega_table(5, 3, 1, 1)
+        assert rep.alternating
+        assert [r.sign for r in rep.rows] == [1, -1, 1, -1]
+        rep = omega_table(5, 3, 1, -1)
+        assert rep.alternating
+        assert [r.sign for r in rep.rows] == [-1, 1, -1, 1]
+        assert omega_table(0, 0, 2, 3).alternating
+
+    def test_wrong_signs_are_not_alternating(self, monkeypatch):
+        # both routes negated: they agree, and every sign is wrong
+        for name in ("evaluate", "omega_closed"):
+            monkeypatch.setattr(omega, name, lambda *a, f=getattr(omega, name): -f(*a))
+        report = omega_table(3, 2, 1, 1)
+        assert [row.sign for row in report.rows] == [-1, 1, -1]
+        assert report.alternating is False

@@ -47,5 +47,6 @@ def test_readme_library_example_runs_as_written():
     assert mat_vec(t.actY, b.terms) == ()
     assert mat_vec(t.actX, b.terms) == ((2, 4), (5, -1), (8, -2))
     assert namespace["is_star_form"](namespace["t"], namespace["form"]).ok
-    rows = [(row.k, row.value) for row in namespace["report"].table.rows]
+    rows = [(row.k, row.value) for row in namespace["report"].rows]
     assert rows == [(0, Fraction(1440)), (1, Fraction(-60)), (2, Fraction(6))]
+    assert namespace["report"].alternating

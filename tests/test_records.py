@@ -25,12 +25,13 @@ from sl2forms.forms import is_star_form, tensor_of_canonical_forms
 from sl2forms.hypergeom import KMParams, km_range_verify, to_3f2
 from sl2forms.linalg import ExactMatrix
 from sl2forms.modules import (
+    WeightModule,
     check_relations,
     decompose,
     perturbed,
     tensor_of_irreducibles,
 )
-from sl2forms.omega import b_closed_form, check_sign_alternation
+from sl2forms.omega import OmegaRow, b_closed_form, omega_table
 from sl2forms.verify import SuiteResult
 
 Q, R = Fraction(-3, 2), Fraction(5, 7)
@@ -42,7 +43,7 @@ def records():
     matrix.transpose
     module = tensor_of_irreducibles(2, 1)
     form = tensor_of_canonical_forms(2, 1, Q, R)
-    alternation = check_sign_alternation(2, 1, Q, R)
+    table = omega_table(2, 1, Q, R)
     params = KMParams(2, 1, 3, 3)
     return {
         "ExactMatrix": matrix,
@@ -52,9 +53,8 @@ def records():
         "DecompositionReport": decompose(module),
         "BilinearForm": form,
         "StarFormReport": is_star_form(module, form),
-        "OmegaRow": alternation.table.rows[1],
-        "OmegaReport": alternation.table,
-        "SignAlternationReport": alternation,
+        "OmegaRow": table.rows[1],
+        "OmegaReport": table,
         "SuiteResult": SuiteResult("relations", 3, ("V_1: [X,Y]=H",), 0.25),
         "KMParams": params,
         "HypergeomSpec": to_3f2(params)[0],
@@ -169,7 +169,7 @@ def test_rebuilt_from_its_fields_is_equal(record):
 
 
 INVALID_CHANGES = {
-    "WeightModule": ({"dim": 5}, "one entry per dimension"),
+    "WeightModule": ({"basis_names": ("e",)}, "basis_names must have one entry per"),
     "ModuleVector": (
         {"terms": ((6, 1),)}, "term index 6 does not live in V_2⊗V_1 (dim 6)"
     ),
@@ -196,3 +196,20 @@ def test_replace_validates_like_the_constructor(case):
     changes, message = INVALID_CHANGES[case]
     with pytest.raises(ValueError, match=re.escape(message)):
         RECORDS[case.partition("-")[0]]._replace(**changes)
+
+
+def test_derived_values_are_properties_not_fields():
+    # a verdict or size that a record's fields determine is computed from
+    # them, so a record cannot contradict itself
+    assert OmegaRow._fields == ("k", "s", "value")
+    assert WeightModule._fields == (
+        "label", "weights", "basis_names", "actX", "actY", "actH"
+    )
+    assert OmegaRow(0, 2, Fraction(-3)).sign == -1
+    assert RECORDS["WeightModule"].dim == 6
+    assert RECORDS["OmegaReport"].alternating
+    zero = ExactMatrix.from_rows([[0]])
+    with pytest.raises(TypeError):
+        OmegaRow(0, 2, Fraction(2), -1)
+    with pytest.raises(TypeError):
+        WeightModule("V_0", 1, (0,), ("e_{0}",), zero, zero, zero)

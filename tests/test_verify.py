@@ -152,6 +152,18 @@ class TestSuites:
         suites = verify_all(0, corrupt=True)
         assert not suites[0].ok
 
+    def test_wrong_signs_fail_only_omega_signs(self, monkeypatch):
+        # both ω routes negated: they agree, and every sign is wrong
+        clean = verify_all(2)
+        for name in ("evaluate", "omega_closed"):
+            monkeypatch.setattr(omega, name, lambda *a, f=getattr(omega, name): -f(*a))
+        damaged = verify_all(2)
+        assert [(s.name, s.checks) for s in damaged] == [(s.name, s.checks) for s in clean]
+        signs = lambda m, n: tuple(-(-1) ** k for k in range(min(m, n) + 1))
+        expected = tuple(f"V_{m}⊗V_{n} q=1 r=1: signs {signs(m, n)}"
+                         for m in range(3) for n in range(3))
+        assert {s.name: s.failures for s in damaged if s.failures} == {"omega-signs": expected}
+
 
 class TestOneBadCase:
     """A case that raises is recorded as one failure naming it; the sweep
@@ -379,7 +391,7 @@ class TestPlan:
 
         monkeypatch.setattr(verify, "parallel_map", serial_map)
         for name, skip in (("canonical_form", 1), ("tensor_of_canonical_forms", 2),
-                           ("check_sign_alternation", 2)):
+                           ("omega_table", 2)):
             def recorded(*call, fn=getattr(verify, name), skip=skip):
                 constants.extend(call[skip:])
                 return fn(*call)
