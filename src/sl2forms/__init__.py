@@ -20,8 +20,8 @@ __version__ = "0.1.0"
 # Home module of every public name.
 _EXPORTS = {
     "forms": (
-        "BilinearForm", "StarFormReport", "canonical_form", "evaluate",
-        "is_star_form", "structure_of", "tensor_form",
+        "BilinearForm", "canonical_form", "evaluate", "is_star_form",
+        "structure_of", "tensor_form",
     ),
     "hypergeom": (
         "HypergeomSpec", "IllDefinedSeriesError", "KMParams", "KMSweepReport",
@@ -30,7 +30,7 @@ _EXPORTS = {
     ),
     "linalg": ("ExactMatrix", "apply_power", "mat_vec", "null_space", "rank"),
     "modules": (
-        "DecompositionReport", "ModuleVector", "RelationReport", "WeightModule",
+        "CheckReport", "DecompositionReport", "ModuleVector", "WeightModule",
         "act", "check_relations", "decompose", "format_vector", "irreducible",
         "perturbed", "tensor_of_irreducibles", "tensor_product",
         "weight_space_indices",

@@ -160,9 +160,8 @@ def _add_max(p: argparse.ArgumentParser, command: str) -> None:
 
 def _add_sweep(p: argparse.ArgumentParser, command: str) -> None:
     _add_max(p, command)
-    # the default, `parallel.usable_cpus()`, is read when the sweep runs
-    # (`_jobs`), which keeps the fork-join code out of every other
-    # subcommand's start
+    # the default, None, reaches `parallel.parallel_map`, which reads it as
+    # the usable CPUs; so no other subcommand loads the fork-join code
     p.add_argument("--jobs", type=_integer(1), default=None,
                    help="worker processes, at most the usable CPUs "
                         "(default: the CPUs this process may run on)")
@@ -372,24 +371,17 @@ def _emit_suites(args: argparse.Namespace, suites: Sequence[SuiteResult]) -> int
     return 0 if ok else 1
 
 
-def _jobs(args: argparse.Namespace) -> int:
-    """--jobs as given, else the CPUs this process may run on."""
-    from .parallel import usable_cpus
-
-    return args.jobs or usable_cpus()
-
-
 def cmd_verify_star(args: argparse.Namespace) -> int:
     from .verify import verify_star
 
-    return _emit_suites(args, verify_star(args.max, args.q, args.r, jobs=_jobs(args)))
+    return _emit_suites(args, verify_star(args.max, args.q, args.r, jobs=args.jobs))
 
 
 def cmd_verify_all(args: argparse.Namespace) -> int:
     from .verify import verify_all
 
     suites = verify_all(
-        args.max, args.q, args.r, jobs=_jobs(args), corrupt=args.debug_corrupt
+        args.max, args.q, args.r, jobs=args.jobs, corrupt=args.debug_corrupt
     )
     return _emit_suites(args, suites)
 

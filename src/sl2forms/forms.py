@@ -9,8 +9,11 @@ is what the rest of the package calls a *-module.  On an irreducible V_m
 the compatible forms are exactly the anti-diagonal-constant ones,
 Q(e_i, e_{-i}) = q for every weight i and zero otherwise.  `canonical_form`
 constructs that representative, `is_star_form` checks that it is
-compatible, and `structure_of` recognizes its shape.  The converse, that
-every compatible form has this shape, is not computed here.
+compatible and nondegenerate, and `structure_of` recognizes its shape.  The
+converse, that every compatible form has this shape, is not computed here.
+`is_star_form` returns a `modules.CheckReport`, the record of
+`check_relations` too: its failures name each identity that fails, and
+`degenerate` for a Gram matrix of rank below the module's dimension.
 
 Tensor modules inherit (Q⊗R)(a⊗b, a'⊗b') = Q(a,a')·R(b,b'), a Kronecker
 pairing of Gram matrices in the lexicographic tensor basis.
@@ -44,6 +47,7 @@ from .linalg import (
     rank,
 )
 from .modules import (
+    CheckReport,
     ModuleVector,
     WeightModule,
     irreducible,
@@ -77,19 +81,6 @@ class BilinearForm(NamedTuple):
             raise ValueError("gram matrix must be symmetric")
 
 
-@frozen
-class StarFormReport(NamedTuple):
-    """Compatibility of one form with the anti-involution, plus nondegeneracy."""
-
-    label: str
-    failures: tuple[str, ...]
-    nondegenerate: bool
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures and self.nondegenerate
-
-
 def canonical_form(m: int, q: Scalar) -> BilinearForm:
     """The anti-diagonal constant form Q(e_i, e_{-i}) = q on V_m.
 
@@ -104,8 +95,12 @@ def canonical_form(m: int, q: Scalar) -> BilinearForm:
     return BilinearForm(module, gram)
 
 
-def is_star_form(module: WeightModule, form: BilinearForm) -> StarFormReport:
+def is_star_form(module: WeightModule, form: BilinearForm) -> CheckReport:
     """Check the three compatibility identities and nondegeneracy, exactly.
+
+    The report's failures name the X, Y and H identities that fail, in
+    that order, and then `degenerate` if the Gram matrix has rank below
+    the module's dimension.
 
     In Gram-matrix terms the identities read Gᵀ·gram = gram·G for G = actX,
     actY and Gᵀ·gram = -gram·G for actH.  Each is compared in every entry on
@@ -126,10 +121,9 @@ def is_star_form(module: WeightModule, form: BilinearForm) -> StarFormReport:
         failures.append("Q(Yu,v)=Q(u,Yv)")
     if not h_identity_holds(h, gram, -1, t=0, transposed=True):
         failures.append("Q(Hu,v)=-Q(u,Hv)")
-    nondegenerate = rank(gram) == module.dim
-    return StarFormReport(
-        label=module.label, failures=tuple(failures), nondegenerate=nondegenerate
-    )
+    if rank(gram) != module.dim:
+        failures.append("degenerate")
+    return CheckReport(label=module.label, failures=tuple(failures))
 
 
 def structure_of(form: BilinearForm) -> tuple[bool, Optional[Scalar]]:

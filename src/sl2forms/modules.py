@@ -14,7 +14,9 @@ increasing weight, with
 
 The H eigenvalue equals the basis subscript; this is forced by [X, Y] = H
 together with the X and Y lines, and `check_relations` enforces it on every
-constructed module.
+constructed module.  It returns a `CheckReport`, the module's label and the
+names of the identities that fail; `forms.is_star_form` returns the same
+record.
 
 Tensor products carry the Leibniz action g(a⊗b) = ga⊗b + a⊗gb in the
 lexicographic basis (left factor outermost).  Decomposition into
@@ -111,8 +113,9 @@ class ModuleVector(NamedTuple):
 
 
 @frozen
-class RelationReport(NamedTuple):
-    """Outcome of checking the three bracket identities on a module."""
+class CheckReport(NamedTuple):
+    """Outcome of a check on a module: the names of what failed, in check
+    order.  `check_relations` and `forms.is_star_form` both return one."""
 
     label: str
     failures: tuple[str, ...]
@@ -166,7 +169,7 @@ def irreducible(m: int, symbol: str = "e") -> WeightModule:
     )
 
 
-def check_relations(module: WeightModule) -> RelationReport:
+def check_relations(module: WeightModule) -> CheckReport:
     """Verify [X,Y] = H, [H,X] = 2X, [H,Y] = -2Y as exact matrix identities,
     each compared in every entry.
 
@@ -180,7 +183,7 @@ def check_relations(module: WeightModule) -> RelationReport:
     for name, a, t in (("[H,X]=2X", x, 2), ("[H,Y]=-2Y", y, -2)):
         if not h_identity_holds(h, a, t=t):
             failures.append(name)
-    return RelationReport(label=module.label, failures=tuple(failures))
+    return CheckReport(label=module.label, failures=tuple(failures))
 
 
 def require_module(x, module: WeightModule, lives: str) -> None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Optional, TypeVar
 
 A = TypeVar("A")
 B = TypeVar("B")
@@ -53,16 +53,19 @@ class WorkerError(RuntimeError):
     """A worker process died, or its results could not be read back."""
 
 
-def parallel_map(fn: Callable[[A], B], items: Iterable[A], jobs: int = 1) -> list[B]:
+def parallel_map(
+    fn: Callable[[A], B], items: Iterable[A], jobs: Optional[int] = 1
+) -> list[B]:
     """Map fn over items, preserving input order.
 
     Uses W = min(jobs, `usable_cpus()`, number of items) processes, this
-    one included.  With W <= 1, without `os.fork`, or in a process that runs
-    more than one thread, it runs in-process.  The results of fn must be
-    picklable.
+    one included; jobs=None asks for all the usable CPUs.  With W <= 1,
+    without `os.fork`, or in a process that runs more than one thread, it
+    runs in-process.  The results of fn must be picklable.
     """
     todo = list(items)
-    workers = min(jobs, usable_cpus(), len(todo))
+    cpus = usable_cpus()
+    workers = min(cpus if jobs is None else jobs, cpus, len(todo))
     threading = sys.modules.get("threading")
     threaded = threading is not None and threading.active_count() > 1
     if workers <= 1 or threaded or not hasattr(os, "fork"):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 from .forms import canonical_form, is_star_form, tensor_of_canonical_forms
 from .hypergeom import (
@@ -28,6 +28,7 @@ from .hypergeom import (
     series_tuple_count,
 )
 from .modules import (
+    CheckReport,
     check_relations,
     decompose,
     irreducible,
@@ -60,8 +61,10 @@ class SuiteResult(NamedTuple):
         return not self.failures
 
 
-def _relation_failures(report) -> list[str]:
-    return [] if report.ok else [f"{report.label}: {', '.join(report.failures)}"]
+def _check_failures(report: CheckReport, constants: str = "") -> list[str]:
+    """The one failure text of a failed module or form check: its label,
+    then `constants` (empty, or " q=… r=…"), then the names that failed."""
+    return [] if report.ok else [f"{report.label}{constants}: {', '.join(report.failures)}"]
 
 
 # Each pair step returns (checks, failures): one check for a step stated
@@ -70,18 +73,13 @@ _Checked = tuple[int, list[str]]
 
 
 def _relations_pair(m: int, n: int, q: Fraction, r: Fraction) -> _Checked:
-    return 1, _relation_failures(check_relations(tensor_of_irreducibles(m, n)))
-
-
-def _star_failures(report, constants: str) -> list[str]:
-    problems = list(report.failures) + ([] if report.nondegenerate else ["degenerate"])
-    return [f"{report.label} {constants}: " + ", ".join(problems)] if problems else []
+    return 1, _check_failures(check_relations(tensor_of_irreducibles(m, n)))
 
 
 def _star_pair(m: int, n: int, q: Fraction, r: Fraction) -> _Checked:
     module = tensor_of_irreducibles(m, n)
     report = is_star_form(module, tensor_of_canonical_forms(m, n, q, r))
-    return 1, _star_failures(report, f"q={q} r={r}")
+    return 1, _check_failures(report, f" q={q} r={r}")
 
 
 def _decompose_pair(m: int, n: int, q: Fraction, r: Fraction) -> _Checked:
@@ -184,13 +182,13 @@ def _local_checks(name, bound, q, r, corrupt) -> _Results:
         if corrupt:
             modules.append(perturbed(irreducible(bound), "X", 0, 0, 1))
         for module in modules:
-            failures += _relation_failures(check_relations(module))
+            failures += _check_failures(check_relations(module))
             checks += 1
     elif name == "star-forms":
         for m in range(bound + 1):
             for c in (q, r):
                 report = is_star_form(irreducible(m), canonical_form(m, c))
-                failures += _star_failures(report, f"q={c}")
+                failures += _check_failures(report, f" q={c}")
                 checks += 1
     else:
         route = km_range_verify if name == "karlsson-minton" else series_route_verify
@@ -220,7 +218,8 @@ def _coverage(bound, corrupt) -> dict[str, tuple[int, str]]:
 def _sweep(bound, names, q=1, r=1, jobs=1, corrupt=False) -> list[SuiteResult]:
     """The named suites, each timed: one task per suite for its local checks
     and, if any suite is stated per pair, one per (m, n) with m, n ≤ bound.
-    Under jobs > 1 a suite's seconds are summed over the processes."""
+    Under jobs > 1, or jobs=None for every usable CPU (`parallel_map`), a
+    suite's seconds are summed over the processes."""
     if bound < 0:
         raise ValueError(f"bound must be nonnegative (got {bound})")
     q, r = Fraction(q), Fraction(r)
@@ -293,7 +292,7 @@ def sweep_omega_signs(
 
 
 def verify_star(
-    bound: int, q: Scalar = 1, r: Scalar = 1, jobs: int = 1
+    bound: int, q: Scalar = 1, r: Scalar = 1, jobs: Optional[int] = 1
 ) -> list[SuiteResult]:
     """The relations and star-forms suites, in one stream over the grid."""
     return _sweep(bound, ("relations", "star-forms"), q, r, jobs)
@@ -303,7 +302,7 @@ def verify_all(
     bound: int,
     q: Scalar = 1,
     r: Scalar = 1,
-    jobs: int = 1,
+    jobs: Optional[int] = 1,
     corrupt: bool = False,
 ) -> list[SuiteResult]:
     """Run every suite at the same bound; order is fixed and deterministic.

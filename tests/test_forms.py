@@ -146,7 +146,13 @@ class TestIsStarForm:
     def test_degenerate_form_reported(self):
         t = irreducible(0)
         report = is_star_form(t, BilinearForm(t, ExactMatrix.from_rows([[0]])))
-        assert not report.nondegenerate and not report.ok
+        assert "degenerate" in report.failures and not report.ok
+
+    def test_failures_name_the_identities_in_order_then_degenerate(self):
+        # diag(1, 0) on V_1 keeps Q(Xu,v)=Q(u,Xv) only, and has rank 1
+        t = irreducible(1)
+        report = is_star_form(t, BilinearForm(t, ExactMatrix.from_rows([[1, 0], [0, 0]])))
+        assert report.failures == ("Q(Yu,v)=Q(u,Yv)", "Q(Hu,v)=-Q(u,Hv)", "degenerate")
 
     def test_v1_in_a_basis_where_h_is_not_diagonal_passes(self):
         # the change of basis P takes each generator g to P⁻¹·g·P and the
@@ -217,7 +223,7 @@ class TestStructureOf:
 
 
 def fraction_star_check(module, gram):
-    """`is_star_form`'s checks as they were before the integer path: the
+    """`is_star_form`'s failures as they were before the integer path: the
     identity products and the rank taken on the Gram matrix itself, in
     `Fraction` arithmetic.  Oracle only."""
     failures = []
@@ -227,7 +233,9 @@ def fraction_star_check(module, gram):
         failures.append("Q(Yu,v)=Q(u,Yv)")
     if module.actH.transpose @ gram != (gram @ module.actH).scaled(-1):
         failures.append("Q(Hu,v)=-Q(u,Hv)")
-    return tuple(failures), rank(gram) == module.dim
+    if rank(gram) != module.dim:
+        failures.append("degenerate")
+    return tuple(failures)
 
 
 # Zero, negative, integer and mixed-denominator entries.
@@ -289,9 +297,7 @@ class TestIntegerGramOracle:
     def test_matches_fraction_products(self, case):
         module, gram = case
         report = is_star_form(module, BilinearForm(module, gram))
-        assert (report.failures, report.nondegenerate) == fraction_star_check(
-            module, gram
-        )
+        assert report.failures == fraction_star_check(module, gram)
 
 
 class TestLargeTensorForm:
@@ -316,8 +322,7 @@ class TestLargeTensorForm:
         i, j = 7, t.dim - 1 - 7
         gram = gram_with(form.gram, {(i, j): 0, (j, i): 0})
         report = is_star_form(t, BilinearForm(t, gram))
-        assert not report.nondegenerate
-        assert report.failures == ("Q(Xu,v)=Q(u,Xv)", "Q(Yu,v)=Q(u,Yv)")
+        assert report.failures == ("Q(Xu,v)=Q(u,Xv)", "Q(Yu,v)=Q(u,Yv)", "degenerate")
 
     def test_degenerate_compatible_form_fails_on_rank_alone(self):
         """G·(Ω - λ), with Ω = 2(XY + YX) + H² the Casimir element and
@@ -329,8 +334,7 @@ class TestLargeTensorForm:
         s = 2 * self.M
         gram = form.gram @ (casimir - identity(t.dim).scaled(s * (s + 2)))
         report = is_star_form(t, BilinearForm(t, gram))
-        assert report.failures == ()
-        assert not report.nondegenerate
+        assert report.failures == ("degenerate",)
         assert rank(gram) == t.dim - (s + 1)
 
     def test_pair_moved_off_weight_pairing_fails_h_identity(self):
@@ -363,7 +367,7 @@ class TestGramCorruption:
             gram = gram_with(form.gram, {(i, j): 1, (j, i): 1})
             report = is_star_form(t, BilinearForm(t, gram))
             assert "Q(Hu,v)=-Q(u,Hv)" in report.failures
-            assert report.failures == fraction_star_check(t, gram)[0]
+            assert report.failures == fraction_star_check(t, gram)
 
 
     @pytest.mark.parametrize("m, n", [(2, 1), (3, 2)])
@@ -380,9 +384,7 @@ class TestGramCorruption:
                 bad = perturbed(t, "H", i, j, Fraction(1, 2))
                 assert (diagonal(bad.actH) is None) == (i != j)
                 report = is_star_form(bad, BilinearForm(bad, form.gram))
-                assert (report.failures, report.nondegenerate) == fraction_star_check(
-                    bad, form.gram
-                ), (i, j)
+                assert report.failures == fraction_star_check(bad, form.gram), (i, j)
                 # a nondegenerate Gram matrix fails every bump of H
                 assert "Q(Hu,v)=-Q(u,Hv)" in report.failures, (i, j)
 

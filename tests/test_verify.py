@@ -238,6 +238,59 @@ class TestOneBadCase:
         assert {s.name: s.failures for s in damaged if s.failures} == {suite: (failure,)}
 
 
+def doubled(v):
+    return v._replace(terms=tuple((j, 2 * c) for j, c in v.terms))
+
+
+def at_2_1_1(m, n, k):
+    return (m, n, k) == (2, 1, 1)
+
+
+class TestWrongValue:
+    """A route that returns a wrong value for one case, and raises nothing,
+    fails its own suite alone, with that suite's failure text and the same
+    check counts, in one process and with two workers."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("suite, home, target, is_bad, wrong, failure", [
+        ("decomposition", verify, "decompose", lambda t: t.label == "V_2⊗V_1",
+         lambda report: report._replace(summands=((1, 3),)),
+         "V_2⊗V_1: got ((1, 3),), expected ((1, 1), (3, 1))"),
+        ("singular-vectors", verify, "y_annihilates",
+         lambda b: b == omega.b_closed_form(2, 1, 1), lambda _: False,
+         "(m=2,n=1,k=1): Y·b != 0"),
+        ("singular-vectors", verify, "y_kernel_singular", at_2_1_1, doubled,
+         "(m=2,n=1,k=1): null-space route disagrees"),
+        ("x-power", verify, "x_power_b_closed", at_2_1_1, doubled,
+         "(m=2,n=1,k=1): X^s b routes disagree"),
+        # (k, l, m, n) = (1, 0, 2, 2) calls the kernel with t = 1 and the
+        # parameters -k, n-k+1, l-m, -m, n+l-2k+1
+        ("3f2-route", hypergeom, "_horner", lambda *a: a == (1, -1, 2, -2, -2, 1),
+         lambda pair: (pair[0] + pair[1], pair[1]), "(k,l,m,n)=(1, 0, 2, 2)"),
+    ], ids=["decomposition", "y-annihilates", "null-space", "x-power", "3f2-route"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_wrong_value_fails_only_its_suite(
+        self, monkeypatch, suite, home, target, is_bad, wrong, failure, jobs
+    ):
+        original = getattr(home, target)
+
+        def damaged(*args):
+            value = original(*args)
+            return wrong(value) if is_bad(*args) else value
+
+        clean = verify_all(3, jobs=jobs)
+        monkeypatch.setattr(home, target, damaged)
+        got = verify_all(3, jobs=jobs)
+        assert [(s.name, s.checks) for s in got] == [(s.name, s.checks) for s in clean]
+        assert {s.name: s.failures for s in got if s.failures} == {suite: (failure,)}
+
+
 def cold_caches():
     modules.tensor_of_irreducibles.cache_clear()
     omega.x_power_b_brute.cache_clear()
@@ -499,10 +552,10 @@ class TestDeterminismAndParallelism:
         assert (a.name, a.checks, a.failures) == (b.name, b.checks, b.failures)
 
     def test_worker_count_is_clamped(self, monkeypatch):
-        """Workers are min(jobs, usable CPUs, tasks): each item reports its
-        square and the process that mapped it, and the calling process maps
-        the first.  The usable CPUs are the affinity set where `os` has one,
-        else the CPU count."""
+        """Workers are min(jobs, usable CPUs, tasks), and jobs=None asks for
+        the usable CPUs: each item reports its square and the process that
+        mapped it, and the calling process maps the first.  The usable CPUs
+        are the affinity set where `os` has one, else the CPU count."""
         here = os.getpid()
 
         def workers(count, jobs):
@@ -516,16 +569,17 @@ class TestDeterminismAndParallelism:
             parallel.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False
         )
         assert [workers(10, 1000), workers(3, 1000), workers(10, 2)] == [4, 3, 2]
+        assert [workers(10, None), workers(3, None)] == [4, 3]
         # one worker, by request, usable CPUs or task count, runs in-process
         assert workers(10, 1) == 1
         assert workers(1, 1000) == 1
         # an affinity of one CPU on a two-CPU machine
         monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {1})
-        assert workers(10, 1000) == 1
+        assert workers(10, 1000) == workers(10, None) == 1
         # no affinity call (macOS): the CPU count, or 1 when it is unknown
         monkeypatch.delattr(parallel.os, "sched_getaffinity")
-        assert workers(10, 1000) == 2
+        assert workers(10, 1000) == workers(10, None) == 2
         monkeypatch.setattr(parallel.os, "cpu_count", lambda: None)
         assert workers(10, 1000) == 1
 
